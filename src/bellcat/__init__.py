@@ -26,6 +26,7 @@ from .correlations import (
     wigner_joint,
 )
 from .inequalities import (
+    INEQUALITIES,
     CorrelationProvider,
     InequalityReport,
     bell_check,
@@ -104,7 +105,7 @@ __all__ = [
     # inequalities
     "CorrelationProvider", "InequalityReport", "lc_provider", "full_provider",
     "sampled_provider", "bell_check", "chsh_check", "wigner_check",
-    "quadratic_check", "check",
+    "quadratic_check", "check", "INEQUALITIES",
     # optimize
     "AngleConfig", "OptimizationResult", "GridTooLargeError", "objective_value",
     "grid_sweep", "refine", "multistart_refine",

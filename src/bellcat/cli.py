@@ -5,9 +5,9 @@ win.  Direction flags take "theta,phi" pairs in radians, or degrees with
 --degrees (config-file angles are always radians).  Results print to
 stdout as JSON; --output writes an artifact in JSON or CSV.
 
-Exit codes: 0 success (and no violation), 10 a checked inequality is
-violated, 2 configuration or parse error, 3 numeric domain error, 4 I/O
-error.
+Exit codes: 0 success, 10 the inequality given to check is violated
+(sweep and optimize exit 0 whatever they find), 2 configuration or parse
+error, 3 numeric domain error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import Optional
 
 from . import __version__
 from .correlations import CorrelationBreakdown, correlation
-from .inequalities import CorrelationProvider, check, full_provider, lc_provider, sampled_provider
+from .inequalities import (INEQUALITIES, CorrelationProvider, check, full_provider,
+                           lc_provider, sampled_provider)
 from .optimize import AngleConfig, grid_sweep, multistart_refine
 from .sampling import photon_emulation, sample_outcomes
 from .spins import Direction, SpinQuantum, coherent_state
@@ -35,13 +36,20 @@ class ConfigError(Exception):
 
 _TOP_KEYS = {"state", "provider", "mode", "kind", "angles", "sweep", "optimize",
              "sample", "output"}
+_INT, _FLOAT = (int,), (int, float)
+# Config keys per section: the JSON types a numeric key accepts, else None.
 _SECTION_KEYS = {
-    "state": {"two_s", "alpha", "gamma1", "gamma2"},
-    "sweep": {"resolution"},
-    "optimize": {"starts", "seed", "max_iter", "tol", "resolution"},
-    "sample": {"n", "seed", "postselect", "photon"},
-    "output": {"path", "format"},
+    "state": {"two_s": _INT, "alpha": _FLOAT, "gamma1": _FLOAT, "gamma2": _FLOAT},
+    "sweep": {"resolution": _INT},
+    "optimize": {"starts": _INT, "seed": _INT, "max_iter": _INT, "tol": _FLOAT,
+                 "resolution": _INT},
+    "sample": {"n": _INT, "seed": _INT, "postselect": None, "photon": None},
+    "output": {"path": None, "format": None},
 }
+
+
+def _is_number(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -62,13 +70,19 @@ def _load_config(path: Optional[str]) -> dict:
         if section in cfg:
             if not isinstance(cfg[section], dict):
                 raise ConfigError(f"config section {section!r} must be an object")
-            bad = set(cfg[section]) - allowed
+            bad = set(cfg[section]) - set(allowed)
             if bad:
                 raise ConfigError(f"unknown keys in {section!r}: {sorted(bad)}")
+            for key, value in cfg[section].items():
+                types = allowed[key]
+                if types is not None and not _is_number(value, types):
+                    what = "an integer" if types is _INT else "a number"
+                    raise ConfigError(f"config {section}.{key} must be {what}, got {value!r}")
     if "angles" in cfg:
         angles = cfg["angles"]
         ok = isinstance(angles, list) and all(
-            isinstance(p, list) and len(p) == 2 for p in angles
+            isinstance(p, list) and len(p) == 2 and all(_is_number(v, _FLOAT) for v in p)
+            for p in angles
         )
         if not ok:
             raise ConfigError("config 'angles' must be a list of [theta, phi] pairs")
@@ -100,19 +114,19 @@ def _pick(flag, cfg: dict, *keys, default=None):
     return node
 
 
-def _state_from(args, cfg: dict) -> CatState:
+def _spin_from(args, cfg: dict) -> SpinQuantum:
     two_s = _pick(args.two_s, cfg, "state", "two_s")
     if two_s is None:
         raise ConfigError("two_s is required (flag --two-s or config state.two_s)")
+    return SpinQuantum(two_s)
+
+
+def _state_from(args, cfg: dict) -> CatState:
     alpha = _pick(args.alpha, cfg, "state", "alpha", default=-math.pi / 4.0)
     gamma1 = _pick(args.gamma1, cfg, "state", "gamma1", default=0.0)
     gamma2 = _pick(args.gamma2, cfg, "state", "gamma2", default=0.0)
-    try:
-        s = SpinQuantum(int(two_s))
-        coeffs = CatCoefficients(float(alpha), float(gamma1), float(gamma2))
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return CatState(s, coeffs)
+    coeffs = CatCoefficients(float(alpha), float(gamma1), float(gamma2))
+    return CatState(_spin_from(args, cfg), coeffs)
 
 
 def _directions_from(args, cfg: dict, count: int) -> tuple[Direction, ...]:
@@ -158,7 +172,7 @@ def _provider_from(args, cfg: dict, state: CatState) -> CorrelationProvider:
             _pick(getattr(args, "postselect", None) or None, cfg,
                   "sample", "postselect", default=False)
         )
-        return sampled_provider(state, int(n), int(seed), postselect=postselect)
+        return sampled_provider(state, n, seed, postselect=postselect)
     raise ConfigError(f"provider must be 'lc', 'full' or 'sampled', got {name!r}")
 
 
@@ -183,8 +197,8 @@ def _kind_from(args, cfg: dict) -> str:
     kind = _pick(getattr(args, "kind", None), cfg, "kind")
     if kind is None:
         raise ConfigError("inequality kind is required (--kind)")
-    if kind not in ("bell", "chsh", "wigner", "quadratic"):
-        raise ConfigError(f"kind must be bell, chsh, wigner or quadratic, got {kind!r}")
+    if kind not in INEQUALITIES:
+        raise ConfigError(f"kind must be one of {', '.join(INEQUALITIES)}, got {kind!r}")
     return kind
 
 
@@ -211,8 +225,7 @@ def _cmd_correlate(args, cfg: dict) -> int:
 def _cmd_check(args, cfg: dict) -> int:
     state = _state_from(args, cfg)
     kind = _kind_from(args, cfg)
-    count = 4 if kind == "chsh" else 3
-    dirs = _directions_from(args, cfg, count)
+    dirs = _directions_from(args, cfg, INEQUALITIES[kind].arity)
     provider = _provider_from(args, cfg, state)
     report = check(provider, kind, *dirs)
     payload = report.to_dict()
@@ -236,14 +249,13 @@ def _cmd_sweep(args, cfg: dict) -> int:
     provider = _provider_from(args, cfg, state)
     path, fmt = _output_target(args, cfg)
 
-    ndirs = 4 if kind == "chsh" else 3
-    labels = "abcd"[:ndirs]
+    labels = "abcd"[:INEQUALITIES[kind].arity]
     header = (
         "kind," + ",".join(f"theta_{x},phi_{x}" for x in labels) + ",value"
     )
     rows: list[tuple[tuple[float, ...], float]] = []
     sink = (lambda ang, val: rows.append((ang, val))) if path else None
-    result = grid_sweep(provider, kind, int(resolution), sink=sink)
+    result = grid_sweep(provider, kind, resolution, sink=sink)
     payload = result.to_dict()
     payload["provenance"] = provider.provenance
     _print_json(payload)
@@ -276,15 +288,15 @@ def _cmd_optimize(args, cfg: dict) -> int:
         raise ConfigError("optimize requires --starts")
     if seed is None:
         raise ConfigError("optimize requires an explicit --seed")
-    max_iter = int(_pick(args.max_iter, cfg, "optimize", "max_iter", default=2000))
+    max_iter = _pick(args.max_iter, cfg, "optimize", "max_iter", default=2000)
     tol = float(_pick(args.tol, cfg, "optimize", "tol", default=1e-10))
     resolution = _pick(args.resolution, cfg, "optimize", "resolution")
     provider = _provider_from(args, cfg, state)
     extra: tuple[AngleConfig, ...] = ()
     if resolution is not None:
-        extra = (grid_sweep(provider, kind, int(resolution)).best_config,)
+        extra = (grid_sweep(provider, kind, resolution).best_config,)
     result = multistart_refine(
-        provider, kind, int(starts), int(seed), max_iter=max_iter, tol=tol,
+        provider, kind, starts, seed, max_iter=max_iter, tol=tol,
         extra_starts=extra,
     )
     payload = result.to_dict()
@@ -312,11 +324,11 @@ def _cmd_sample(args, cfg: dict) -> int:
     )
     photon = bool(_pick(args.photon or None, cfg, "sample", "photon", default=False))
     if photon:
-        record = photon_emulation(state, a, b, int(n), int(seed))
+        record = photon_emulation(state, a, b, n, seed)
         payload = record.to_dict()
         stats = record.stats
     else:
-        stats = sample_outcomes(state, a, b, int(n), int(seed), postselect=postselect)
+        stats = sample_outcomes(state, a, b, n, seed, postselect=postselect)
         payload = stats.to_dict()
     _print_json(payload)
     path, fmt = _output_target(args, cfg)
@@ -340,9 +352,7 @@ def _cmd_sample(args, cfg: dict) -> int:
 
 
 def _cmd_coherent(args, cfg: dict) -> int:
-    two_s = _pick(args.two_s, cfg, "state", "two_s")
-    if two_s is None:
-        raise ConfigError("two_s is required (flag --two-s or config state.two_s)")
+    s = _spin_from(args, cfg)
     if args.dir is None:
         raise ConfigError("coherent requires --dir theta,phi")
     t, p = _parse_pair(args.dir, args.degrees)
@@ -353,10 +363,6 @@ def _cmd_coherent(args, cfg: dict) -> int:
         sign = -1
     else:
         raise ConfigError(f"sign must be '+' or '-', got {sign_text!r}")
-    try:
-        s = SpinQuantum(int(two_s))
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
     d = Direction(t, p)
     ket = coherent_state(s, d, sign)
     payload = {
@@ -381,23 +387,23 @@ def _cmd_version(_args, _cfg: dict) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, *, state: bool = True,
-                dirs: int = 0, output: bool = True) -> None:
+                dirs: int = 0) -> None:
+    """Shared flags; state=False keeps --two-s but drops the cat coefficients."""
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--degrees", action="store_true",
                      help="interpret direction flags in degrees")
+    sub.add_argument("--two-s", dest="two_s", type=int,
+                     help="twice the spin quantum number (1 for s=1/2)")
     if state:
-        sub.add_argument("--two-s", dest="two_s", type=int,
-                         help="twice the spin quantum number (1 for s=1/2)")
         sub.add_argument("--alpha", type=float,
                          help="branch mixing angle (default -pi/4)")
         sub.add_argument("--gamma1", type=float, help="first branch phase")
         sub.add_argument("--gamma2", type=float, help="second branch phase")
     for label in "abcd"[:dirs]:
         sub.add_argument(f"--{label}", help=f"direction {label} as theta,phi")
-    if output:
-        sub.add_argument("--output", help="write the result to this path")
-        sub.add_argument("--format", choices=["json", "csv"],
-                         help="artifact format (default json)")
+    sub.add_argument("--output", help="write the result to this path")
+    sub.add_argument("--format", choices=["json", "csv"],
+                     help="artifact format (default json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate one inequality at given axes")
     _add_common(p, dirs=4)
-    p.add_argument("--kind", choices=["bell", "chsh", "wigner", "quadratic"])
+    p.add_argument("--kind", choices=list(INEQUALITIES))
     p.add_argument("--provider", choices=["lc", "full", "sampled"])
     p.add_argument("--mode", choices=["raw", "postselected"])
     p.add_argument("--n", type=int, help="draws per pair (sampled provider)")
@@ -422,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep for the largest violation")
     _add_common(p)
-    p.add_argument("--kind", choices=["bell", "chsh", "wigner", "quadratic"])
+    p.add_argument("--kind", choices=list(INEQUALITIES))
     p.add_argument("--provider", choices=["lc", "full", "sampled"])
     p.add_argument("--mode", choices=["raw", "postselected"])
     p.add_argument("--resolution", type=int)
@@ -432,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="multistart simplex refinement")
     _add_common(p)
-    p.add_argument("--kind", choices=["bell", "chsh", "wigner", "quadratic"])
+    p.add_argument("--kind", choices=list(INEQUALITIES))
     p.add_argument("--provider", choices=["lc", "full", "sampled"])
     p.add_argument("--mode", choices=["raw", "postselected"])
     p.add_argument("--starts", type=int)
@@ -453,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report photon-pair estimators (spin 1 only)")
 
     p = sub.add_parser("coherent", help="coherent-state amplitudes")
-    _add_common(p, state=True)
+    _add_common(p, state=False)
     p.add_argument("--dir", help="direction as theta,phi")
     p.add_argument("--sign", default="+", help="+ or -")
 

@@ -4,13 +4,14 @@ Every check consumes a CorrelationProvider, so the same code paths test
 exact local-model predictions, full quantum values, and Monte Carlo
 estimates.  A report's margin is positive when the inequality is satisfied
 with room to spare and negative when violated; "violated" applies a small
-tolerance so exact boundary cases do not flip on rounding.
+tolerance so exact boundary cases do not flip on rounding.  Each
+inequality is one INEQUALITIES entry, which check and the searches in
+optimize both read.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,6 +34,11 @@ __all__ = [
     "chsh_check",
     "wigner_check",
     "quadratic_check",
+    "check",
+    "evaluate",
+    "Inequality",
+    "INEQUALITIES",
+    "inequality",
     "VIOLATION_TOL",
 ]
 
@@ -124,10 +130,9 @@ def sampled_provider(state: CatState, n: int, seed: int,
 class InequalityReport:
     """Outcome of one inequality check at one angle configuration.
 
-    margin >= 0 means satisfied; violated is margin < -VIOLATION_TOL.  For
-    "bell" and "wigner" the margin is rhs - lhs, for "chsh" it is
-    2 - |combination|, and for "quadratic" it is lhs - rhs because that
-    inequality bounds its left side from below.
+    margin >= 0 means satisfied; violated is margin < -VIOLATION_TOL.  The
+    margin is rhs - lhs, or lhs - rhs for an inequality that bounds its
+    left side from below (quadratic); see INEQUALITIES.
     """
 
     kind: str
@@ -178,68 +183,106 @@ class InequalityReport:
         )
 
 
-def _report(kind: str, lhs: float, rhs: float, margin: float,
-            config: tuple[Direction, ...]) -> InequalityReport:
-    return InequalityReport(kind, lhs, rhs, margin, margin < -VIOLATION_TOL, config)
+@dataclass(frozen=True)
+class Inequality:
+    """One Bell-type inequality, written once for every caller.
 
-
-def bell_check(provider: CorrelationProvider, a: Direction, b: Direction,
-               c: Direction) -> InequalityReport:
-    """Three-axis inequality |P(a,b) - P(a,c)| <= 1 + P(b,c)."""
-    lhs = abs(provider.correlation(a, b) - provider.correlation(a, c))
-    rhs = 1.0 + provider.correlation(b, c)
-    return _report("bell", lhs, rhs, rhs - lhs, (a, b, c))
-
-
-def chsh_check(provider: CorrelationProvider, a: Direction, b: Direction,
-               c: Direction, d: Direction) -> InequalityReport:
-    """Four-axis inequality |P(a,b) + P(a,c) + P(d,b) - P(d,c)| <= 2."""
-    combo = (
-        provider.correlation(a, b)
-        + provider.correlation(a, c)
-        + provider.correlation(d, b)
-        - provider.correlation(d, c)
-    )
-    lhs = abs(combo)
-    return _report("chsh", lhs, 2.0, 2.0 - lhs, (a, b, c, d))
-
-
-def wigner_check(provider: CorrelationProvider, a: Direction, b: Direction,
-                 c: Direction) -> InequalityReport:
-    """Joint-probability inequality P(+b,+c) <= P(+a,+b) + P(+a,+c)."""
-    if provider.joint is None:
-        raise ValueError(f"provider {provider.provenance!r} supplies no joint probabilities")
-    lhs = provider.joint(b, c, +1, +1)
-    rhs = provider.joint(a, b, +1, +1) + provider.joint(a, c, +1, +1)
-    return _report("wigner", lhs, rhs, rhs - lhs, (a, b, c))
-
-
-def quadratic_check(provider: CorrelationProvider, a: Direction, b: Direction,
-                    c: Direction) -> InequalityReport:
-    """Quadratic bound 4 |P(b,c)| >= 4 P(a,b) P(a,c).
-
-    Unlike the linear inequalities this one bounds the lhs from below, so
-    the margin is lhs - rhs.
+    The inequality reads one value per direction-index pair in pairs:
+    P(+,+) from provider.joint when joint is set, else the correlation
+    P(a, b).  sides maps those values, in pair order, to (lhs, rhs); it is
+    elementwise, so the grid sweep feeds it broadcast arrays.  The
+    inequality is lhs <= rhs, or lhs >= rhs when lower is set.  A search
+    maximizes lhs itself when maximize_lhs is set (chsh, whose bound is a
+    constant), otherwise the overshoot -margin.
     """
-    lhs = 4.0 * abs(provider.correlation(b, c))
-    rhs = 4.0 * provider.correlation(a, b) * provider.correlation(a, c)
-    return _report("quadratic", lhs, rhs, lhs - rhs, (a, b, c))
+
+    arity: int
+    pairs: tuple[tuple[int, int], ...]
+    joint: bool
+    sides: Callable[..., tuple]
+    lower: bool = False
+    maximize_lhs: bool = False
+
+    def reader(self, provider: CorrelationProvider) -> Callable[[Direction, Direction], float]:
+        """The provider callable this inequality reads, as a function of two axes."""
+        if not self.joint:
+            return provider.correlation
+        joint = provider.joint
+        if joint is None:
+            raise ValueError(f"provider {provider.provenance!r} supplies no joint probabilities")
+        return lambda a, b: joint(a, b, +1, +1)
+
+    def margin(self, lhs, rhs):
+        return lhs - rhs if self.lower else rhs - lhs
+
+    def objective(self, lhs, rhs):
+        """Value a search maximizes; for the overshoot, positive means violated."""
+        if self.maximize_lhs:
+            return lhs
+        return rhs - lhs if self.lower else lhs - rhs
 
 
-_CHECKS = {
-    "bell": bell_check,
-    "chsh": chsh_check,
-    "wigner": wigner_check,
-    "quadratic": quadratic_check,
+INEQUALITIES: dict[str, Inequality] = {
+    # |P(a,b) - P(a,c)| <= 1 + P(b,c)
+    "bell": Inequality(3, ((0, 1), (0, 2), (1, 2)), False,
+                       lambda ab, ac, bc: (abs(ab - ac), 1.0 + bc)),
+    # |P(a,b) + P(a,c) + P(d,b) - P(d,c)| <= 2
+    "chsh": Inequality(4, ((0, 1), (0, 2), (3, 1), (3, 2)), False,
+                       lambda ab, ac, db, dc: (abs(ab + ac + db - dc), 2.0),
+                       maximize_lhs=True),
+    # P(+b,+c) <= P(+a,+b) + P(+a,+c)
+    "wigner": Inequality(3, ((1, 2), (0, 1), (0, 2)), True,
+                         lambda bc, ab, ac: (bc, ab + ac)),
+    # 4 |P(b,c)| >= 4 P(a,b) P(a,c)
+    "quadratic": Inequality(3, ((1, 2), (0, 1), (0, 2)), False,
+                            lambda bc, ab, ac: (4.0 * abs(bc), 4.0 * ab * ac),
+                            lower=True),
 }
+
+
+def inequality(kind: str) -> Inequality:
+    """The INEQUALITIES entry for kind; ValueError if there is none."""
+    spec = INEQUALITIES.get(kind)
+    if spec is None:
+        raise ValueError(f"unknown inequality kind {kind!r}")
+    return spec
+
+
+def evaluate(provider: CorrelationProvider, kind: str,
+             config: tuple[Direction, ...]) -> tuple[Inequality, float, float]:
+    """The spec of kind and its (lhs, rhs) at config; checks kind and arity."""
+    spec = inequality(kind)
+    if len(config) != spec.arity:
+        raise ValueError(f"{kind} takes {spec.arity} directions, got {len(config)}")
+    pair = spec.reader(provider)
+    lhs, rhs = spec.sides(*[pair(config[i], config[j]) for i, j in spec.pairs])
+    return spec, lhs, rhs
 
 
 def check(provider: CorrelationProvider, kind: str,
           *config: Direction) -> InequalityReport:
-    """Dispatch to the named check; config must carry 3 axes (4 for chsh)."""
-    if kind not in _CHECKS:
-        raise ValueError(f"unknown inequality kind {kind!r}")
-    needed = 4 if kind == "chsh" else 3
-    if len(config) != needed:
-        raise ValueError(f"{kind} takes {needed} directions, got {len(config)}")
-    return _CHECKS[kind](provider, *config)
+    """Evaluate the named inequality at config and report its margin."""
+    spec, lhs, rhs = evaluate(provider, kind, config)
+    margin = spec.margin(lhs, rhs)
+    return InequalityReport(kind, lhs, rhs, margin, margin < -VIOLATION_TOL, config)
+
+
+# Per-kind shorthands for check(provider, kind, *axes).
+def bell_check(provider: CorrelationProvider, a: Direction, b: Direction,
+               c: Direction) -> InequalityReport:
+    return check(provider, "bell", a, b, c)
+
+
+def chsh_check(provider: CorrelationProvider, a: Direction, b: Direction,
+               c: Direction, d: Direction) -> InequalityReport:
+    return check(provider, "chsh", a, b, c, d)
+
+
+def wigner_check(provider: CorrelationProvider, a: Direction, b: Direction,
+                 c: Direction) -> InequalityReport:
+    return check(provider, "wigner", a, b, c)
+
+
+def quadratic_check(provider: CorrelationProvider, a: Direction, b: Direction,
+                    c: Direction) -> InequalityReport:
+    return check(provider, "quadratic", a, b, c)

@@ -18,14 +18,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import rng
-from .inequalities import CorrelationProvider, InequalityReport, check
+from .inequalities import CorrelationProvider, InequalityReport, check, evaluate, inequality
 from .spins import Direction
 
 __all__ = [
     "AngleConfig",
     "OptimizationResult",
     "GridTooLargeError",
-    "KIND_DIRECTIONS",
     "GRID_POINT_LIMIT",
     "objective_value",
     "grid_sweep",
@@ -33,9 +32,7 @@ __all__ = [
     "multistart_refine",
 ]
 
-KIND_DIRECTIONS = {"bell": 3, "chsh": 4, "wigner": 3, "quadratic": 3}
-
-# Hard ceiling on resolution**(2 * ndirs) grid combinations.
+# Hard ceiling on resolution**(2 * arity) grid combinations.
 GRID_POINT_LIMIT = 10**8
 
 
@@ -100,36 +97,12 @@ def objective_value(provider: CorrelationProvider, kind: str,
                     config: AngleConfig) -> float:
     """Scalar being maximized, shared by both search stages.
 
-    chsh: |P(a,b) + P(a,c) + P(d,b) - P(d,c)|.
-    bell: |P(a,b) - P(a,c)| - (1 + P(b,c)).
-    wigner: P(+b,+c) - P(+a,+b) - P(+a,+c).
-    quadratic: 4 P(a,b) P(a,c) - 4 |P(b,c)|.
-
-    For the non-chsh kinds, positive values mean violation.
+    The (lhs, rhs) that check reports, reduced by Inequality.objective:
+    |combination| for chsh, the overshoot -margin for the other kinds
+    (positive means violation).
     """
-    dirs = config.directions
-    needed = KIND_DIRECTIONS.get(kind)
-    if needed is None:
-        raise ValueError(f"unknown inequality kind {kind!r}")
-    if len(dirs) != needed:
-        raise ValueError(f"{kind} takes {needed} directions, got {len(dirs)}")
-    corr = provider.correlation
-    if kind == "chsh":
-        a, b, c, d = dirs
-        return abs(corr(a, b) + corr(a, c) + corr(d, b) - corr(d, c))
-    if kind == "bell":
-        a, b, c = dirs
-        return abs(corr(a, b) - corr(a, c)) - (1.0 + corr(b, c))
-    if kind == "wigner":
-        if provider.joint is None:
-            raise ValueError(
-                f"provider {provider.provenance!r} supplies no joint probabilities"
-            )
-        a, b, c = dirs
-        joint = provider.joint
-        return joint(b, c, +1, +1) - joint(a, b, +1, +1) - joint(a, c, +1, +1)
-    a, b, c = dirs
-    return 4.0 * corr(a, b) * corr(a, c) - 4.0 * abs(corr(b, c))
+    spec, lhs, rhs = evaluate(provider, kind, config.directions)
+    return spec.objective(lhs, rhs)
 
 
 def _grid_directions(resolution: int) -> list[Direction]:
@@ -149,10 +122,11 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
                ) -> OptimizationResult:
     """Exhaustive sweep over a (theta, phi) product grid per direction.
 
-    Pair correlations are computed once per ordered direction pair and the
-    full combination tensor is assembled by numpy broadcasting, chunked
-    over the first direction to bound memory.  The winner is the
-    lexicographically first maximizing combination.
+    The pair values the inequality reads are computed once per ordered
+    direction pair, and the spec's sides are evaluated on broadcast views
+    of that table, chunked over the first direction to bound memory, so
+    every row equals objective_value.  The winner is the lexicographically
+    first maximizing combination.
 
     sink, if given, receives every evaluated row as
     (interleaved angles tuple, objective value) in lexicographic order.
@@ -160,12 +134,10 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
     Raises
     ------
     GridTooLargeError
-        If resolution**(2 * ndirs) exceeds GRID_POINT_LIMIT.
+        If resolution**(2 * arity) exceeds GRID_POINT_LIMIT.
     """
-    needed = KIND_DIRECTIONS.get(kind)
-    if needed is None:
-        raise ValueError(f"unknown inequality kind {kind!r}")
-    total = resolution ** (2 * needed)
+    spec = inequality(kind)
+    total = resolution ** (2 * spec.arity)
     if total > GRID_POINT_LIMIT:
         raise GridTooLargeError(
             f"resolution {resolution} gives {total:.3g} combinations for {kind}, "
@@ -175,39 +147,24 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
     g = len(dirs)
     angles = [(d.theta, d.phi) for d in dirs]
 
-    if kind == "wigner":
-        if provider.joint is None:
-            raise ValueError(
-                f"provider {provider.provenance!r} supplies no joint probabilities"
-            )
-        table = np.empty((g, g))
-        for i, da in enumerate(dirs):
-            for j, db in enumerate(dirs):
-                table[i, j] = provider.joint(da, db, +1, +1)
-    else:
-        table = np.empty((g, g))
-        for i, da in enumerate(dirs):
-            for j, db in enumerate(dirs):
-                table[i, j] = provider.correlation(da, db)
+    pair = spec.reader(provider)
+    table = np.array([[pair(da, db) for db in dirs] for da in dirs], dtype=float)
+
+    # Block axes are directions 1..arity-1 with direction 0 fixed at ia.  A
+    # pair (0, j) reads row ia of the table along axis j; a pair (i, j)
+    # reads the table, transposed if i > j, along axes i and j.
+    views = []
+    for i, j in spec.pairs:
+        axes = (j,) if i == 0 else (i, j)
+        index = tuple(slice(None) if k in axes else None for k in range(1, spec.arity))
+        views.append((i, j, index))
 
     best_val = -math.inf
     best_idx: tuple[int, ...] = ()
     for ia in range(g):
-        row = table[ia]
-        if kind == "chsh":
-            # axes of block: (b, c, d)
-            block = np.abs(
-                row[:, None, None]
-                + row[None, :, None]
-                + table.T[:, None, :]
-                - table.T[None, :, :]
-            )
-        elif kind == "bell":
-            block = np.abs(row[:, None] - row[None, :]) - 1.0 - table
-        elif kind == "wigner":
-            block = table - row[:, None] - row[None, :]
-        else:
-            block = 4.0 * row[:, None] * row[None, :] - 4.0 * np.abs(table)
+        values = [(table[ia] if i == 0 else table if i < j else table.T)[index]
+                  for i, j, index in views]
+        block = spec.objective(*spec.sides(*values))
         flat_pos = int(np.argmax(block))
         val = float(block.flat[flat_pos])
         if val > best_val:
@@ -222,7 +179,7 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
                 sink(parts, float(value))
 
     config = AngleConfig(tuple(dirs[i] for i in best_idx))
-    return OptimizationResult(kind, config, best_val, g ** needed, True, None)
+    return OptimizationResult(kind, config, best_val, g ** spec.arity, True, None)
 
 
 def _simplex_around(x0: np.ndarray, edge: float) -> np.ndarray:
@@ -240,13 +197,9 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     deliberately not a criterion: flat directions are common at optima).
     Never returns a configuration worse than the start.
     """
-    needed = KIND_DIRECTIONS.get(kind)
-    if needed is None:
-        raise ValueError(f"unknown inequality kind {kind!r}")
-    if len(start.directions) != needed:
-        raise ValueError(f"{kind} takes {needed} directions, got {len(start.directions)}")
+    start_value = objective_value(provider, kind, start)
     x0 = start.flat()
-    state = {"best": -math.inf, "evals": 0}
+    state = {"best": -math.inf, "evals": 1}
     trace: list[tuple[int, float]] = []
 
     def negated(x: np.ndarray) -> float:
@@ -274,8 +227,6 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     )
     best_config = AngleConfig.from_flat(result.x)
     best_value = -float(result.fun)
-    start_value = objective_value(provider, kind, start)
-    state["evals"] += 1
     if start_value > best_value:
         best_config, best_value = start, start_value
     return OptimizationResult(
@@ -294,12 +245,9 @@ def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
     runs with equal arguments agree bit for bit.  Ties keep the earliest
     start.
     """
-    needed = KIND_DIRECTIONS.get(kind)
-    if needed is None:
-        raise ValueError(f"unknown inequality kind {kind!r}")
+    dim = 2 * inequality(kind).arity
     if n_starts < 1 and not extra_starts:
         raise ValueError("need at least one start")
-    dim = 2 * needed
     u = rng.uniforms(seed, n_starts * dim).reshape(n_starts, dim) if n_starts else None
     starts = list(extra_starts)
     for k in range(n_starts):

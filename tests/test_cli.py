@@ -125,6 +125,32 @@ class TestConfigFile:
                       "--a", "0,0", "--b", "0,0")
         assert code == 2
 
+    @pytest.mark.parametrize("section,key,value", [
+        (None, None, None),
+        ("state", "two_s", 1.5),
+        ("state", "two_s", True),
+        ("state", "two_s", "x"),
+        ("state", "alpha", "x"),
+        ("sweep", "resolution", 2.7),
+        ("sweep", "resolution", "abc"),
+        (None, "angles", [["a", 0], [0, 0], [0, 0]]),
+    ])
+    def test_config_numbers_have_json_number_types(self, capsys, tmp_path,
+                                                   section, key, value):
+        cfg = {"kind": "bell", "state": {"two_s": 1, "alpha": 0.3},
+               "sweep": {"resolution": 2}}
+        if key is not None:
+            (cfg if section is None else cfg[section])[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run(capsys, "sweep", "--config", str(path))
+        if key is None:
+            assert code == 0
+            assert json.loads(out)["evaluations"] == 64
+        else:
+            assert code == 2
+            assert out == ""
+
     def test_missing_config_file_is_io_error(self, capsys, tmp_path):
         code, _ = run(capsys, "correlate", "--config", str(tmp_path / "nope.json"),
                       "--a", "0,0", "--b", "0,0")
@@ -326,6 +352,11 @@ class TestCoherent:
 
     def test_requires_direction(self, capsys):
         code, _ = run(capsys, "coherent", "--two-s", "1")
+        assert code == 2
+
+    def test_takes_no_cat_coefficients(self, capsys):
+        code, _ = run(capsys, "coherent", "--two-s", "2", "--alpha", "0.3",
+                      "--dir", "0,0")
         assert code == 2
 
 

@@ -5,12 +5,18 @@ import math
 import numpy as np
 import pytest
 from conftest import random_direction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellcat import (
+    INEQUALITIES,
     AngleConfig,
+    CatCoefficients,
+    CatState,
     Direction,
     GridTooLargeError,
     SpinQuantum,
+    check,
     full_provider,
     grid_sweep,
     lc_provider,
@@ -27,6 +33,10 @@ TSIRELSON = AngleConfig((
     Direction(PI / 4, PI),
     Direction(PI / 2, 0.0),
 ))
+
+
+angle = st.floats(-2 * PI, 2 * PI, allow_nan=False)
+direction = st.builds(Direction, angle, angle)
 
 
 def full_half():
@@ -50,6 +60,18 @@ class TestObjective:
             objective_value(full_half(), "chsh", AngleConfig(TSIRELSON.directions[:3]))
         with pytest.raises(ValueError):
             objective_value(full_half(), "sumrule", TSIRELSON)
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_s=st.integers(1, 4), coeffs=st.tuples(angle, angle, angle),
+           lc=st.booleans(), dirs=st.lists(direction, min_size=4, max_size=4))
+    def test_objective_is_the_reported_inequality(self, two_s, coeffs, lc, dirs):
+        state = CatState(SpinQuantum(two_s), CatCoefficients(*coeffs))
+        p = lc_provider(state) if lc else full_provider(state)
+        for kind, spec in INEQUALITIES.items():
+            config = AngleConfig(tuple(dirs[:spec.arity]))
+            report = check(p, kind, *config.directions)
+            expected = report.lhs if kind == "chsh" else -report.margin
+            assert objective_value(p, kind, config) == expected
 
 
 class TestAngleConfig:
@@ -91,21 +113,19 @@ class TestGridSweep:
             grid_sweep(full_half(), "chsh", 11)
 
     def test_sink_streams_every_combination(self):
-        rows = []
-        result = grid_sweep(full_half(), "bell", 2,
-                            sink=lambda ang, v: rows.append((ang, v)))
-        # resolution 2 gives 4 grid directions, 4^3 combinations
-        assert len(rows) == 64
-        assert result.evaluations == 64
-        assert all(len(ang) == 6 for ang, _ in rows)
-        assert rows[0][0] == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        # spot-check emitted values against direct evaluation
         p = full_half()
-        for ang, val in rows[::13]:
-            assert objective_value(p, "bell", AngleConfig.from_flat(ang)) == (
-                pytest.approx(val, abs=1e-12)
-            )
-        assert max(v for _, v in rows) == pytest.approx(result.best_value, abs=1e-15)
+        for kind, spec in INEQUALITIES.items():
+            rows = []
+            result = grid_sweep(p, kind, 3, sink=lambda ang, v: rows.append((ang, v)))
+            # resolution 3 gives 9 grid directions, 9^arity combinations
+            assert len(rows) == 9 ** spec.arity
+            assert result.evaluations == 9 ** spec.arity
+            assert all(len(ang) == 2 * spec.arity for ang, _ in rows)
+            assert rows[0][0] == (0.0,) * (2 * spec.arity)
+            # every emitted row is the search objective itself, to the last bit
+            for ang, val in rows:
+                assert objective_value(p, kind, AngleConfig.from_flat(ang)) == val
+            assert max(v for _, v in rows) == result.best_value
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
