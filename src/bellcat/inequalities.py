@@ -219,6 +219,7 @@ class Inequality:
         """Value a search maximizes; for the overshoot, positive means violated."""
         if self.maximize_lhs:
             return lhs
+        # -margin, written out so an exact tie reads 0.0 rather than -0.0.
         return rhs - lhs if self.lower else lhs - rhs
 
 
