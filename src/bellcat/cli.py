@@ -1,9 +1,15 @@
 """Command line front end.
 
 Scenario options come from an optional JSON config file plus flags; flags
-win.  Direction flags take "theta,phi" pairs in radians, or degrees with
---degrees (config-file angles are always radians).  Results print to
-stdout as JSON; --output writes an artifact in JSON or CSV.
+win.  _FLAGS declares every flag once and _COMMANDS names the flags each
+subcommand takes; _CONFIG declares every config key with its JSON type or
+its allowed strings, and a config file is checked whole before any work.
+Flags must be spelled in full.  Direction flags take "theta,phi" pairs in
+radians, or degrees with --degrees (config-file angles are always
+radians).  mode is read by correlate and the full provider, postselect by
+sample and the sampled provider; a switch the chosen provider would
+ignore is an error.  Results print to stdout as JSON; --output writes an
+artifact in JSON or, for the commands with a table, CSV.
 
 Exit codes: 0 success, 10 the inequality given to check is violated
 (sweep and optimize exit 0 whatever they find), 2 configuration or parse
@@ -13,17 +19,18 @@ error, 3 numeric domain error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from typing import Optional
 
 from . import __version__
-from .correlations import CorrelationBreakdown, correlation
+from .correlations import correlation
 from .inequalities import (INEQUALITIES, CorrelationProvider, check, full_provider,
                            lc_provider, sampled_provider)
-from .optimize import AngleConfig, grid_sweep, multistart_refine
-from .sampling import photon_emulation, sample_outcomes
+from .optimize import grid_sweep, multistart_refine
+from .sampling import CATEGORIES, photon_emulation, sample_outcomes
 from .spins import Direction, SpinQuantum, coherent_state
 from .states import CatCoefficients, CatState
 
@@ -34,22 +41,58 @@ class ConfigError(Exception):
     """Bad or missing configuration; maps to exit code 2."""
 
 
-_TOP_KEYS = {"state", "provider", "mode", "kind", "angles", "sweep", "optimize",
-             "sample", "output"}
-_INT, _FLOAT = (int,), (int, float)
-# Config keys per section: the JSON types a numeric key accepts, else None.
-_SECTION_KEYS = {
-    "state": {"two_s": _INT, "alpha": _FLOAT, "gamma1": _FLOAT, "gamma2": _FLOAT},
-    "sweep": {"resolution": _INT},
-    "optimize": {"starts": _INT, "seed": _INT, "max_iter": _INT, "tol": _FLOAT,
-                 "resolution": _INT},
-    "sample": {"n": _INT, "seed": _INT, "postselect": None, "photon": None},
-    "output": {"path": None, "format": None},
+_CHOICES = {
+    "kind": tuple(INEQUALITIES),
+    "provider": ("lc", "full", "sampled"),
+    "mode": ("raw", "postselected"),
+    "format": ("json", "csv"),
 }
 
+# Every config key.  A section maps to its keys; a key maps to the JSON
+# type it takes (int excludes true/false, float takes any number) or to
+# the tuple of its allowed strings; angles is a list of [theta, phi] pairs.
+_CONFIG = {
+    "kind": _CHOICES["kind"],
+    "provider": _CHOICES["provider"],
+    "mode": _CHOICES["mode"],
+    "angles": list,
+    "state": {"two_s": int, "alpha": float, "gamma1": float, "gamma2": float},
+    "sweep": {"resolution": int},
+    "optimize": {"starts": int, "seed": int, "max_iter": int, "tol": float,
+                 "resolution": int},
+    "sample": {"n": int, "seed": int, "postselect": bool, "photon": bool},
+    "output": {"path": str, "format": _CHOICES["format"]},
+}
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
+             str: "a string", list: "a list of [theta, phi] number pairs"}
 
-def _is_number(value, types) -> bool:
-    return isinstance(value, types) and not isinstance(value, bool)
+
+def _fits(spec, value) -> bool:
+    if isinstance(spec, tuple):
+        return value in spec
+    if spec is list:
+        return isinstance(value, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(_fits(float, v) for v in p)
+            for p in value
+        )
+    if isinstance(value, bool):
+        return spec is bool
+    return isinstance(value, (int, float) if spec is float else spec)
+
+
+def _check_config(spec: dict, node: dict, prefix: str = "") -> None:
+    for key, value in node.items():
+        name = prefix + key
+        if key not in spec:
+            raise ConfigError(f"unknown config key {name!r}")
+        want = spec[key]
+        if isinstance(want, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {name!r} must be an object")
+            _check_config(want, value, name + ".")
+        elif not _fits(want, value):
+            what = f"one of {', '.join(want)}" if isinstance(want, tuple) else _EXPECTED[want]
+            raise ConfigError(f"config {name} must be {what}, got {value!r}")
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -63,30 +106,25 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = set(cfg) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for section, allowed in _SECTION_KEYS.items():
-        if section in cfg:
-            if not isinstance(cfg[section], dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            bad = set(cfg[section]) - set(allowed)
-            if bad:
-                raise ConfigError(f"unknown keys in {section!r}: {sorted(bad)}")
-            for key, value in cfg[section].items():
-                types = allowed[key]
-                if types is not None and not _is_number(value, types):
-                    what = "an integer" if types is _INT else "a number"
-                    raise ConfigError(f"config {section}.{key} must be {what}, got {value!r}")
-    if "angles" in cfg:
-        angles = cfg["angles"]
-        ok = isinstance(angles, list) and all(
-            isinstance(p, list) and len(p) == 2 and all(_is_number(v, _FLOAT) for v in p)
-            for p in angles
-        )
-        if not ok:
-            raise ConfigError("config 'angles' must be a list of [theta, phi] pairs")
+    _check_config(_CONFIG, cfg)
     return cfg
+
+
+def _pick(args, cfg: dict, flag: str, *keys: str, default=None, required=None):
+    """The value of flag if given, else the config value at keys, else default.
+
+    Raises ConfigError(required) when that leaves no value and required is set.
+    """
+    value = getattr(args, flag, None)
+    if value is None:
+        *sections, key = keys
+        node = cfg
+        for section in sections:
+            node = node.get(section, {})
+        value = node.get(key, default)
+    if value is None and required:
+        raise ConfigError(required)
+    return value
 
 
 def _parse_pair(text: str, degrees: bool) -> tuple[float, float]:
@@ -102,40 +140,28 @@ def _parse_pair(text: str, degrees: bool) -> tuple[float, float]:
     return t, p
 
 
-def _pick(flag, cfg: dict, *keys, default=None):
-    """Flag value if set, else the nested config value, else default."""
-    if flag is not None:
-        return flag
-    node = cfg
-    for key in keys:
-        if not isinstance(node, dict) or key not in node:
-            return default
-        node = node[key]
-    return node
-
-
 def _spin_from(args, cfg: dict) -> SpinQuantum:
-    two_s = _pick(args.two_s, cfg, "state", "two_s")
-    if two_s is None:
-        raise ConfigError("two_s is required (flag --two-s or config state.two_s)")
-    return SpinQuantum(two_s)
+    return SpinQuantum(_pick(args, cfg, "two_s", "state", "two_s",
+                             required="two_s is required (--two-s or config state.two_s)"))
 
 
 def _state_from(args, cfg: dict) -> CatState:
-    alpha = _pick(args.alpha, cfg, "state", "alpha", default=-math.pi / 4.0)
-    gamma1 = _pick(args.gamma1, cfg, "state", "gamma1", default=0.0)
-    gamma2 = _pick(args.gamma2, cfg, "state", "gamma2", default=0.0)
+    alpha = _pick(args, cfg, "alpha", "state", "alpha", default=-math.pi / 4.0)
+    gamma1 = _pick(args, cfg, "gamma1", "state", "gamma1", default=0.0)
+    gamma2 = _pick(args, cfg, "gamma2", "state", "gamma2", default=0.0)
     coeffs = CatCoefficients(float(alpha), float(gamma1), float(gamma2))
     return CatState(_spin_from(args, cfg), coeffs)
 
 
+def _kind_of(args, cfg: dict) -> str:
+    return _pick(args, cfg, "kind", "kind", required="inequality kind is required (--kind)")
+
+
 def _directions_from(args, cfg: dict, count: int) -> tuple[Direction, ...]:
     pairs: list[Optional[tuple[float, float]]] = [None] * count
-    cfg_angles = cfg.get("angles")
-    if cfg_angles:
-        for i, pair in enumerate(cfg_angles[:count]):
-            pairs[i] = (float(pair[0]), float(pair[1]))
-    labels = ["a", "b", "c", "d"]
+    for i, pair in enumerate(cfg.get("angles", [])[:count]):
+        pairs[i] = (float(pair[0]), float(pair[1]))
+    labels = "abcd"
     for i, label in enumerate(labels):
         flag = getattr(args, label, None)
         if flag is not None:
@@ -148,206 +174,132 @@ def _directions_from(args, cfg: dict, count: int) -> tuple[Direction, ...]:
     return tuple(Direction(t, p) for t, p in pairs)  # type: ignore[misc]
 
 
-def _mode_from(args, cfg: dict) -> str:
-    mode = _pick(getattr(args, "mode", None), cfg, "mode", default="raw")
-    if mode not in ("raw", "postselected"):
-        raise ConfigError(f"mode must be 'raw' or 'postselected', got {mode!r}")
-    return mode
-
-
 def _provider_from(args, cfg: dict, state: CatState) -> CorrelationProvider:
-    name = _pick(getattr(args, "provider", None), cfg, "provider", default="full")
+    name = _pick(args, cfg, "provider", "provider", default="full")
+    mode = _pick(args, cfg, "mode", "mode", default="raw")
+    if mode == "postselected" and name != "full":
+        raise ConfigError(f"provider {name!r} ignores mode {mode!r}; only 'full' reads it")
+    if args.postselect and name != "sampled":
+        raise ConfigError(f"provider {name!r} ignores --postselect; only 'sampled' reads it")
     if name == "lc":
         return lc_provider(state)
     if name == "full":
-        return full_provider(state, mode=_mode_from(args, cfg))
-    if name == "sampled":
-        n = _pick(getattr(args, "n", None), cfg, "sample", "n")
-        seed = _pick(getattr(args, "seed", None), cfg, "sample", "seed")
-        if n is None:
-            raise ConfigError("sampled provider requires --n")
-        if seed is None:
-            raise ConfigError("sampled provider requires an explicit --seed")
-        postselect = bool(
-            _pick(getattr(args, "postselect", None) or None, cfg,
-                  "sample", "postselect", default=False)
-        )
-        return sampled_provider(state, n, seed, postselect=postselect)
-    raise ConfigError(f"provider must be 'lc', 'full' or 'sampled', got {name!r}")
+        return full_provider(state, mode=mode)
+    n = _pick(args, cfg, "n", "sample", "n", required="sampled provider requires --n")
+    seed = _pick(args, cfg, "seed", "sample", "seed",
+                 required="sampled provider requires an explicit --seed")
+    postselect = _pick(args, cfg, "postselect", "sample", "postselect", default=False)
+    return sampled_provider(state, n, seed, postselect=postselect)
 
 
-def _output_target(args, cfg: dict) -> tuple[Optional[str], str]:
-    path = _pick(getattr(args, "output", None), cfg, "output", "path")
-    fmt = _pick(getattr(args, "format", None), cfg, "output", "format", default="json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
-    return path, fmt
+def _csv_line(values) -> str:
+    """One CSV line: strings as-is, booleans in lower case, the rest by repr."""
+    return ",".join(
+        v if isinstance(v, str) else str(v).lower() if isinstance(v, bool) else repr(v)
+        for v in values
+    )
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _angle_columns(arity: int) -> list[str]:
+    return [f"{angle}_{x}" for x in "abcd"[:arity] for angle in ("theta", "phi")]
 
 
-def _print_json(payload: dict) -> None:
+def _emit(args, cfg: dict, payload: dict, header=None, rows=(), artifact=None) -> None:
+    """Print payload as JSON, then write the --output artifact if one is asked for.
+
+    The JSON artifact is artifact, or payload when that is None.  The CSV
+    artifact is the header line then one line per row; a command that
+    passes no header has JSON artifacts only.
+    """
     print(json.dumps(payload, indent=2))
-
-
-def _kind_from(args, cfg: dict) -> str:
-    kind = _pick(getattr(args, "kind", None), cfg, "kind")
-    if kind is None:
-        raise ConfigError("inequality kind is required (--kind)")
-    if kind not in INEQUALITIES:
-        raise ConfigError(f"kind must be one of {', '.join(INEQUALITIES)}, got {kind!r}")
-    return kind
+    path = _pick(args, cfg, "output", "output", "path")
+    if not path:
+        return
+    fmt = _pick(args, cfg, "format", "output", "format", default="json")
+    if fmt == "csv" and header is None:
+        raise ConfigError(f"{args.command} artifacts support only --format json")
+    with open(path, "w", encoding="utf-8") as fh:
+        if fmt == "csv":
+            fh.writelines(_csv_line(row) + "\n" for row in itertools.chain([header], rows))
+        else:
+            fh.write(json.dumps(payload if artifact is None else artifact, indent=2) + "\n")
 
 
 def _cmd_correlate(args, cfg: dict) -> int:
     state = _state_from(args, cfg)
     a, b = _directions_from(args, cfg, 2)
-    result = correlation(state, a, b, mode=_mode_from(args, cfg))
-    payload = result.to_dict()
-    _print_json(payload)
-    path, fmt = _output_target(args, cfg)
-    if path:
-        if fmt == "json":
-            _write_text(path, json.dumps(payload, indent=2) + "\n")
-        else:
-            header = "p_total,p_lc,p_nlc,postselect_weight,mode"
-            row = ",".join(
-                [repr(result.p_total), repr(result.p_lc), repr(result.p_nlc),
-                 repr(result.postselect_weight), result.mode]
-            )
-            _write_text(path, header + "\n" + row + "\n")
+    mode = _pick(args, cfg, "mode", "mode", default="raw")
+    payload = correlation(state, a, b, mode=mode).to_dict()
+    _emit(args, cfg, payload, list(payload), [payload.values()])
     return 0
 
 
 def _cmd_check(args, cfg: dict) -> int:
     state = _state_from(args, cfg)
-    kind = _kind_from(args, cfg)
+    kind = _kind_of(args, cfg)
     dirs = _directions_from(args, cfg, INEQUALITIES[kind].arity)
     provider = _provider_from(args, cfg, state)
     report = check(provider, kind, *dirs)
-    payload = report.to_dict()
-    payload["provenance"] = provider.provenance
-    _print_json(payload)
-    path, fmt = _output_target(args, cfg)
-    if path:
-        if fmt == "json":
-            _write_text(path, json.dumps(payload, indent=2) + "\n")
-        else:
-            _write_text(path, report.csv_header() + "\n" + report.csv_row() + "\n")
+    payload = {**report.to_dict(), "provenance": provider.provenance}
+    angles = [v for d in report.config for v in (d.theta, d.phi)]
+    _emit(args, cfg, payload,
+          ["kind", *_angle_columns(len(dirs)), "lhs", "rhs", "margin", "violated"],
+          [(report.kind, *angles, report.lhs, report.rhs, report.margin, report.violated)])
     return 10 if report.violated else 0
 
 
 def _cmd_sweep(args, cfg: dict) -> int:
     state = _state_from(args, cfg)
-    kind = _kind_from(args, cfg)
-    resolution = _pick(args.resolution, cfg, "sweep", "resolution")
-    if resolution is None:
-        raise ConfigError("sweep requires --resolution")
+    kind = _kind_of(args, cfg)
+    resolution = _pick(args, cfg, "resolution", "sweep", "resolution",
+                       required="sweep requires --resolution")
     provider = _provider_from(args, cfg, state)
-    path, fmt = _output_target(args, cfg)
-
-    labels = "abcd"[:INEQUALITIES[kind].arity]
-    header = (
-        "kind," + ",".join(f"theta_{x},phi_{x}" for x in labels) + ",value"
-    )
-    rows: list[tuple[tuple[float, ...], float]] = []
-    sink = (lambda ang, val: rows.append((ang, val))) if path else None
-    result = grid_sweep(provider, kind, resolution, sink=sink)
-    payload = result.to_dict()
-    payload["provenance"] = provider.provenance
-    _print_json(payload)
-    if path:
-        if fmt == "csv":
-            lines = [header]
-            lines.extend(
-                kind + "," + ",".join(repr(v) for v in ang) + "," + repr(val)
-                for ang, val in rows
-            )
-            _write_text(path, "\n".join(lines) + "\n")
-        else:
-            _write_text(
-                path,
-                json.dumps(
-                    {"result": payload,
-                     "rows": [[*ang, val] for ang, val in rows]},
-                    indent=2,
-                ) + "\n",
-            )
+    rows: list[list[float]] = []
+    path = _pick(args, cfg, "output", "output", "path")
+    result = grid_sweep(provider, kind, resolution,
+                        sink=(lambda ang, val: rows.append([*ang, val])) if path else None)
+    payload = {**result.to_dict(), "provenance": provider.provenance}
+    _emit(args, cfg, payload, ["kind", *_angle_columns(INEQUALITIES[kind].arity), "value"],
+          ([kind, *row] for row in rows), artifact={"result": payload, "rows": rows})
     return 0
 
 
 def _cmd_optimize(args, cfg: dict) -> int:
     state = _state_from(args, cfg)
-    kind = _kind_from(args, cfg)
-    starts = _pick(args.starts, cfg, "optimize", "starts")
-    seed = _pick(args.seed, cfg, "optimize", "seed")
-    if starts is None:
-        raise ConfigError("optimize requires --starts")
-    if seed is None:
-        raise ConfigError("optimize requires an explicit --seed")
-    max_iter = _pick(args.max_iter, cfg, "optimize", "max_iter", default=2000)
-    tol = float(_pick(args.tol, cfg, "optimize", "tol", default=1e-10))
-    resolution = _pick(args.resolution, cfg, "optimize", "resolution")
+    kind = _kind_of(args, cfg)
+    starts = _pick(args, cfg, "starts", "optimize", "starts",
+                   required="optimize requires --starts")
+    seed = _pick(args, cfg, "seed", "optimize", "seed",
+                 required="optimize requires an explicit --seed")
+    max_iter = _pick(args, cfg, "max_iter", "optimize", "max_iter", default=2000)
+    tol = float(_pick(args, cfg, "tol", "optimize", "tol", default=1e-10))
+    resolution = _pick(args, cfg, "resolution", "optimize", "resolution")
     provider = _provider_from(args, cfg, state)
-    extra: tuple[AngleConfig, ...] = ()
-    if resolution is not None:
-        extra = (grid_sweep(provider, kind, resolution).best_config,)
-    result = multistart_refine(
-        provider, kind, starts, seed, max_iter=max_iter, tol=tol,
-        extra_starts=extra,
-    )
-    payload = result.to_dict()
-    payload["provenance"] = provider.provenance
-    _print_json(payload)
-    path, fmt = _output_target(args, cfg)
-    if path:
-        if fmt != "json":
-            raise ConfigError("optimize artifacts support only --format json")
-        _write_text(path, json.dumps(payload, indent=2) + "\n")
+    extra = () if resolution is None else (grid_sweep(provider, kind, resolution).best_config,)
+    result = multistart_refine(provider, kind, starts, seed, max_iter=max_iter, tol=tol,
+                               extra_starts=extra)
+    _emit(args, cfg, {**result.to_dict(), "provenance": provider.provenance})
     return 0
 
 
 def _cmd_sample(args, cfg: dict) -> int:
     state = _state_from(args, cfg)
     a, b = _directions_from(args, cfg, 2)
-    n = _pick(args.n, cfg, "sample", "n")
-    seed = _pick(args.seed, cfg, "sample", "seed")
-    if n is None:
-        raise ConfigError("sample requires --n")
-    if seed is None:
-        raise ConfigError("sample requires an explicit --seed")
-    postselect = bool(
-        _pick(args.postselect or None, cfg, "sample", "postselect", default=False)
-    )
-    photon = bool(_pick(args.photon or None, cfg, "sample", "photon", default=False))
-    if photon:
+    n = _pick(args, cfg, "n", "sample", "n", required="sample requires --n")
+    seed = _pick(args, cfg, "seed", "sample", "seed",
+                 required="sample requires an explicit --seed")
+    postselect = _pick(args, cfg, "postselect", "sample", "postselect", default=False)
+    if _pick(args, cfg, "photon", "sample", "photon", default=False):
         record = photon_emulation(state, a, b, n, seed)
-        payload = record.to_dict()
-        stats = record.stats
+        payload, stats = record.to_dict(), record.stats
     else:
         stats = sample_outcomes(state, a, b, n, seed, postselect=postselect)
         payload = stats.to_dict()
-    _print_json(payload)
-    path, fmt = _output_target(args, cfg)
-    if path:
-        if fmt == "json":
-            _write_text(path, json.dumps(payload, indent=2) + "\n")
-        else:
-            header = (
-                "theta_a,phi_a,theta_b,phi_b,n,count_pp,count_pm,count_mp,"
-                "count_mm,count_inconclusive,estimate,stderr,seed"
-            )
-            c = stats.counts
-            row = ",".join(
-                [repr(a.theta), repr(a.phi), repr(b.theta), repr(b.phi),
-                 str(stats.n_total), str(c["++"]), str(c["+-"]), str(c["-+"]),
-                 str(c["--"]), str(c["inconclusive"]), repr(stats.estimate),
-                 repr(stats.stderr), str(stats.seed)]
-            )
-            _write_text(path, header + "\n" + row + "\n")
+    header = ["theta_a", "phi_a", "theta_b", "phi_b", "n", "count_pp", "count_pm",
+              "count_mp", "count_mm", "count_inconclusive", "estimate", "stderr", "seed"]
+    _emit(args, cfg, payload, header,
+          [(a.theta, a.phi, b.theta, b.phi, stats.n_total,
+            *(stats.counts[c] for c in CATEGORIES), stats.estimate, stats.stderr, stats.seed)])
     return 0
 
 
@@ -356,28 +308,18 @@ def _cmd_coherent(args, cfg: dict) -> int:
     if args.dir is None:
         raise ConfigError("coherent requires --dir theta,phi")
     t, p = _parse_pair(args.dir, args.degrees)
-    sign_text = args.sign
-    if sign_text in ("+", "+1", "1"):
-        sign = +1
-    elif sign_text in ("-", "-1"):
-        sign = -1
-    else:
-        raise ConfigError(f"sign must be '+' or '-', got {sign_text!r}")
+    sign = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}.get(args.sign)
+    if sign is None:
+        raise ConfigError(f"sign must be '+' or '-', got {args.sign!r}")
     d = Direction(t, p)
     ket = coherent_state(s, d, sign)
-    payload = {
+    _emit(args, cfg, {
         "two_s": s.two_s,
         "direction": {"theta": d.theta, "phi": d.phi},
         "sign": sign,
         "m_values": [float(m) for m in s.m_values()],
         "amplitudes": [[z.real, z.imag] for z in ket.amps],
-    }
-    _print_json(payload)
-    path, fmt = _output_target(args, cfg)
-    if path:
-        if fmt != "json":
-            raise ConfigError("coherent artifacts support only --format json")
-        _write_text(path, json.dumps(payload, indent=2) + "\n")
+    })
     return 0
 
 
@@ -386,97 +328,67 @@ def _cmd_version(_args, _cfg: dict) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, *, state: bool = True,
-                dirs: int = 0) -> None:
-    """Shared flags; state=False keeps --two-s but drops the cat coefficients."""
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--degrees", action="store_true",
-                     help="interpret direction flags in degrees")
-    sub.add_argument("--two-s", dest="two_s", type=int,
-                     help="twice the spin quantum number (1 for s=1/2)")
-    if state:
-        sub.add_argument("--alpha", type=float,
-                         help="branch mixing angle (default -pi/4)")
-        sub.add_argument("--gamma1", type=float, help="first branch phase")
-        sub.add_argument("--gamma2", type=float, help="second branch phase")
-    for label in "abcd"[:dirs]:
-        sub.add_argument(f"--{label}", help=f"direction {label} as theta,phi")
-    sub.add_argument("--output", help="write the result to this path")
-    sub.add_argument("--format", choices=["json", "csv"],
-                     help="artifact format (default json)")
+_STORE_TRUE = {"action": "store_true", "default": None}
+
+# Every flag once: dest -> (flag, argparse keyword arguments).
+_FLAGS = {
+    "config": ("--config", {"help": "JSON config file; flags override it"}),
+    "degrees": ("--degrees", {**_STORE_TRUE, "help": "direction flags are in degrees"}),
+    "two_s": ("--two-s", {"type": int, "help": "twice the spin (1 for s=1/2)"}),
+    "alpha": ("--alpha", {"type": float, "help": "branch mixing angle (default -pi/4)"}),
+    "gamma1": ("--gamma1", {"type": float, "help": "first branch phase"}),
+    "gamma2": ("--gamma2", {"type": float, "help": "second branch phase"}),
+    **{x: (f"--{x}", {"help": f"direction {x} as theta,phi"}) for x in "abcd"},
+    "kind": ("--kind", {"choices": _CHOICES["kind"]}),
+    "provider": ("--provider", {"choices": _CHOICES["provider"], "help": "default full"}),
+    "mode": ("--mode", {"choices": _CHOICES["mode"], "help": "correlate, provider full"}),
+    "n": ("--n", {"type": int, "help": "shots, per pair for the sampled provider"}),
+    "seed": ("--seed", {"type": int, "help": "stream seed; for optimize also the starts"}),
+    "postselect": ("--postselect", {**_STORE_TRUE, "help": "read by the sampled provider"}),
+    "photon": ("--photon", {**_STORE_TRUE, "help": "photon-pair estimators (2s=2)"}),
+    "resolution": ("--resolution", {"type": int, "help": "grid points per angle"}),
+    "starts": ("--starts", {"type": int, "help": "random starts"}),
+    "max_iter": ("--max-iter", {"type": int, "help": "default 2000"}),
+    "tol": ("--tol", {"type": float, "help": "default 1e-10"}),
+    "dir": ("--dir", {"help": "direction as theta,phi"}),
+    "sign": ("--sign", {"default": "+", "help": "+ or -"}),
+    "output": ("--output", {"help": "write the result to this path"}),
+    "format": ("--format", {"choices": _CHOICES["format"], "help": "default json"}),
+}
+
+_SCENARIO = "config degrees two_s alpha gamma1 gamma2 "
+_PROVIDER = "kind provider mode n seed postselect "
+
+# command -> (handler, help, the _FLAGS it takes)
+_COMMANDS = {
+    "correlate": (_cmd_correlate, "correlation breakdown for two axes",
+                  _SCENARIO + "a b mode output format"),
+    "check": (_cmd_check, "evaluate one inequality at given axes",
+              _SCENARIO + "a b c d " + _PROVIDER + "output format"),
+    "sweep": (_cmd_sweep, "grid sweep for the largest violation",
+              _SCENARIO + _PROVIDER + "resolution output format"),
+    "optimize": (_cmd_optimize, "multistart simplex refinement",
+                 _SCENARIO + _PROVIDER + "starts max_iter tol resolution output format"),
+    "sample": (_cmd_sample, "Monte Carlo outcome sampling",
+               _SCENARIO + "a b n seed postselect photon output format"),
+    "coherent": (_cmd_coherent, "coherent-state amplitudes",
+                 "config degrees two_s dir sign output format"),
+    "version": (_cmd_version, "print the package version", ""),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="bellcat",
+        prog="bellcat", allow_abbrev=False,
         description="Bell-type inequality laboratory for bipartite spin-s cat states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("correlate", help="correlation breakdown for two axes")
-    _add_common(p, dirs=2)
-    p.add_argument("--mode", choices=["raw", "postselected"])
-
-    p = sub.add_parser("check", help="evaluate one inequality at given axes")
-    _add_common(p, dirs=4)
-    p.add_argument("--kind", choices=list(INEQUALITIES))
-    p.add_argument("--provider", choices=["lc", "full", "sampled"])
-    p.add_argument("--mode", choices=["raw", "postselected"])
-    p.add_argument("--n", type=int, help="draws per pair (sampled provider)")
-    p.add_argument("--seed", type=int, help="stream seed (sampled provider)")
-    p.add_argument("--postselect", action="store_true")
-
-    p = sub.add_parser("sweep", help="grid sweep for the largest violation")
-    _add_common(p)
-    p.add_argument("--kind", choices=list(INEQUALITIES))
-    p.add_argument("--provider", choices=["lc", "full", "sampled"])
-    p.add_argument("--mode", choices=["raw", "postselected"])
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--n", type=int, help="draws per pair (sampled provider)")
-    p.add_argument("--seed", type=int, help="stream seed (sampled provider)")
-    p.add_argument("--postselect", action="store_true")
-
-    p = sub.add_parser("optimize", help="multistart simplex refinement")
-    _add_common(p)
-    p.add_argument("--kind", choices=list(INEQUALITIES))
-    p.add_argument("--provider", choices=["lc", "full", "sampled"])
-    p.add_argument("--mode", choices=["raw", "postselected"])
-    p.add_argument("--starts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--resolution", type=int,
-                   help="also seed one start from a grid sweep at this resolution")
-    p.add_argument("--n", type=int, help="draws per pair (sampled provider)")
-    p.add_argument("--postselect", action="store_true")
-
-    p = sub.add_parser("sample", help="Monte Carlo outcome sampling")
-    _add_common(p, dirs=2)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--postselect", action="store_true")
-    p.add_argument("--photon", action="store_true",
-                   help="report photon-pair estimators (spin 1 only)")
-
-    p = sub.add_parser("coherent", help="coherent-state amplitudes")
-    _add_common(p, state=False)
-    p.add_argument("--dir", help="direction as theta,phi")
-    p.add_argument("--sign", default="+", help="+ or -")
-
-    sub.add_parser("version", help="print the package version")
-
+    for name, (_handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for dest in flags.split():
+            flag, kwargs = _FLAGS[dest]
+            p.add_argument(flag, dest=dest, **kwargs)
     return parser
-
-
-_COMMANDS = {
-    "correlate": _cmd_correlate,
-    "check": _cmd_check,
-    "sweep": _cmd_sweep,
-    "optimize": _cmd_optimize,
-    "sample": _cmd_sample,
-    "coherent": _cmd_coherent,
-    "version": _cmd_version,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -484,11 +396,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else 2
+        return 0 if exc.code in (0, None) else 2
     try:
         cfg = _load_config(getattr(args, "config", None))
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command][0](args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -170,18 +170,6 @@ class InequalityReport:
     def from_json(cls, text: str) -> "InequalityReport":
         return cls.from_dict(json.loads(text))
 
-    def csv_header(self) -> str:
-        labels = "abcd"[: len(self.config)]
-        cols = [f"theta_{x},phi_{x}" for x in labels]
-        return "kind," + ",".join(cols) + ",lhs,rhs,margin,violated"
-
-    def csv_row(self) -> str:
-        angles = [repr(v) for d in self.config for v in (d.theta, d.phi)]
-        return ",".join(
-            [self.kind, *angles, repr(self.lhs), repr(self.rhs),
-             repr(self.margin), str(self.violated).lower()]
-        )
-
 
 @dataclass(frozen=True)
 class Inequality:

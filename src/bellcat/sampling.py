@@ -41,6 +41,9 @@ PROB_SNAP = 1e-14
 
 _NEG_TOL = 1e-12
 
+# Shots drawn per block: the draw's temporaries stay a few MB whatever n is.
+_BLOCK = 1 << 16
+
 
 class NegativeProbabilityError(ValueError):
     """A category probability is negative beyond rounding noise."""
@@ -134,9 +137,11 @@ def _draw_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
     if probs[4] == 0.0:
         # no inconclusive mass: make the last bin swallow CDF rounding slack
         cdf[3] = 1.0
-    u = rng.uniforms(seed, n)
-    cats = np.searchsorted(cdf, u, side="right")
-    return np.bincount(cats, minlength=5)
+    counts = np.zeros(5, dtype=np.int64)
+    for start in range(0, n, _BLOCK):
+        u = rng.uniforms(seed, min(_BLOCK, n - start), start)
+        counts += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=5)
+    return counts
 
 
 def _stats_from_counts(counts: np.ndarray, n: int, seed: int,

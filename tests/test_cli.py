@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from bellcat import CorrelationBreakdown, InequalityReport, SampleStats
+from bellcat import (CATEGORIES, CatCoefficients, CatState, CorrelationBreakdown, Direction,
+                     InequalityReport, SampleStats, SpinQuantum, check, correlation,
+                     full_provider, sample_outcomes, singlet)
 from bellcat.cli import main
 
 PI = math.pi
@@ -24,6 +26,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def flags_for(dirs):
+    return [x for label, d in zip("abcd", dirs) for x in (f"--{label}", f"{d.theta},{d.phi}")]
 
 
 class TestCorrelate:
@@ -80,6 +86,20 @@ class TestCorrelate:
         assert lines[0] == "p_total,p_lc,p_nlc,postselect_weight,mode"
         assert len(lines) == 2
         assert lines[1].endswith(",raw")
+
+    def test_csv_artifact_bytes(self, capsys, tmp_path):
+        state = CatState(SpinQuantum(3), CatCoefficients(0.3, 0.2, 1.1))
+        a, b = Direction(0.7, 0.1), Direction(1.9, 2.2)
+        r = correlation(state, a, b, mode="postselected")
+        target = tmp_path / "out.csv"
+        code, _ = run(capsys, "correlate", "--two-s", "3", "--alpha", "0.3", "--gamma1", "0.2",
+                      "--gamma2", "1.1", *flags_for((a, b)), "--mode", "postselected",
+                      "--output", str(target), "--format", "csv")
+        assert code == 0
+        assert target.read_text() == (
+            "p_total,p_lc,p_nlc,postselect_weight,mode\n"
+            f"{r.p_total!r},{r.p_lc!r},{r.p_nlc!r},{r.postselect_weight!r},postselected\n"
+        )
 
 
 class TestConfigFile:
@@ -151,6 +171,58 @@ class TestConfigFile:
             assert code == 2
             assert out == ""
 
+    @pytest.mark.parametrize("section,key,value", [
+        (None, None, None),
+        ("sample", "postselect", "no"),
+        ("sample", "photon", "false"),
+        ("sample", "postselect", 1),
+        ("output", "path", True),
+        ("output", "format", "xml"),
+        (None, "mode", "bogus"),
+        (None, "provider", 3),
+        (None, "kind", "bel"),
+    ])
+    def test_config_values_are_typed(self, capsys, tmp_path, section, key, value):
+        cfg = {"state": {"two_s": 2}, "angles": [[0.7, 0.1], [1.9, 2.2]],
+               "sample": {"n": 100, "seed": 1, "postselect": True, "photon": False},
+               "output": {}}
+        if key is not None:
+            (cfg if section is None else cfg[section])[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run(capsys, "sample", "--config", str(path))
+        if key is None:
+            assert code == 0
+            assert json.loads(out)["postselect"] is True
+        else:
+            assert (code, out) == (2, "")
+
+    def test_bad_output_format_fails_before_search(self, capsys, tmp_path, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("bellcat.cli.multistart_refine", no_search)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"output": {"path": str(tmp_path / "x"), "format": "xml"}}))
+        code, out = run(capsys, "optimize", "--config", str(path), "--kind", "chsh",
+                        "--two-s", "1", "--starts", "1", "--seed", "1")
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("provider,code", [("lc", 2), ("sampled", 2), ("full", 10)])
+    def test_config_mode_needs_full_provider(self, capsys, tmp_path, provider, code):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"mode": "postselected", "sample": {"n": 100, "seed": 1}}))
+        assert main(["check", "--config", str(path), "--kind", "chsh", "--two-s", "1",
+                     "--provider", provider, *TSIRELSON_FLAGS]) == code
+
+    def test_shared_sample_postselect_leaves_full_provider_alone(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"sample": {"n": 100, "seed": 1, "postselect": True}}))
+        code, out = run(capsys, "check", "--config", str(path), "--kind", "chsh",
+                        "--two-s", "1", "--provider", "full", *TSIRELSON_FLAGS)
+        assert code == 10
+        assert json.loads(out)["provenance"] == "full"
+
     def test_missing_config_file_is_io_error(self, capsys, tmp_path):
         code, _ = run(capsys, "correlate", "--config", str(tmp_path / "nope.json"),
                       "--a", "0,0", "--b", "0,0")
@@ -211,6 +283,40 @@ class TestCheck:
         lines = target.read_text().strip().splitlines()
         assert lines[0].startswith("kind,theta_a,phi_a")
         assert lines[1].startswith("bell,")
+
+    @pytest.mark.parametrize("kind,dirs,header", [
+        ("bell", (Direction(0.1, 0.2), Direction(1.3, 4.5), Direction(2.2, 0.9)),
+         "kind,theta_a,phi_a,theta_b,phi_b,theta_c,phi_c,lhs,rhs,margin,violated"),
+        ("chsh", (Direction(0.0, 0.0), Direction(PI / 4, 0.0), Direction(PI / 4, PI),
+                  Direction(PI / 2, 0.0)),
+         "kind,theta_a,phi_a,theta_b,phi_b,theta_c,phi_c,theta_d,phi_d,"
+         "lhs,rhs,margin,violated"),
+    ], ids=["bell", "chsh"])
+    def test_csv_artifact_bytes(self, capsys, tmp_path, kind, dirs, header):
+        r = check(full_provider(singlet(SpinQuantum(1))), kind, *dirs)
+        target = tmp_path / "report.csv"
+        code, _ = run(capsys, "check", "--kind", kind, "--two-s", "1", *flags_for(dirs),
+                      "--output", str(target), "--format", "csv")
+        assert code == (10 if r.violated else 0)
+        angles = ",".join(repr(v) for d in dirs for v in (d.theta, d.phi))
+        violated = "true" if r.violated else "false"
+        assert target.read_text() == (
+            f"{header}\n{kind},{angles},{r.lhs!r},{r.rhs!r},{r.margin!r},{violated}\n"
+        )
+        assert r.violated or kind != "chsh"
+
+    @pytest.mark.parametrize("flags,provider", [
+        (["--provider", "lc", "--mode", "postselected"], "lc"),
+        (["--provider", "sampled", "--n", "100", "--seed", "1", "--mode", "postselected"],
+         "sampled"),
+        (["--provider", "lc", "--postselect"], "lc"),
+        (["--provider", "full", "--postselect"], "full"),
+    ])
+    def test_provider_rejects_switch_it_would_ignore(self, capsys, flags, provider):
+        code = main(["check", "--kind", "chsh", "--two-s", "1", *TSIRELSON_FLAGS, *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"provider {provider!r}" in captured.err
 
 
 class TestSweep:
@@ -307,6 +413,24 @@ class TestSample:
         assert lines[0].split(",")[:5] == ["theta_a", "phi_a", "theta_b", "phi_b", "n"]
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--postselect"], ["--photon"]],
+                             ids=["raw", "postselect", "photon"])
+    def test_csv_artifact_bytes(self, capsys, tmp_path, extra):
+        a, b = Direction(0.7, 0.1), Direction(1.9, 2.2)
+        st = sample_outcomes(singlet(SpinQuantum(2)), a, b, 5000, 9,
+                             postselect=extra == ["--postselect"])
+        target = tmp_path / "shots.csv"
+        code, _ = run(capsys, "sample", "--two-s", "2", *flags_for((a, b)), "--n", "5000",
+                      "--seed", "9", *extra, "--output", str(target), "--format", "csv")
+        assert code == 0
+        counts = ",".join(repr(st.counts[c]) for c in CATEGORIES)
+        assert target.read_text() == (
+            "theta_a,phi_a,theta_b,phi_b,n,count_pp,count_pm,count_mp,count_mm,"
+            "count_inconclusive,estimate,stderr,seed\n"
+            f"{a.theta!r},{a.phi!r},{b.theta!r},{b.phi!r},{st.n_total!r},{counts},"
+            f"{st.estimate!r},{st.stderr!r},{st.seed!r}\n"
+        )
+
     def test_photon_mode(self, capsys):
         code, out = run(capsys, "sample", "--two-s", "2", "--a", "0,0",
                         "--b", "0,0", "--n", "20000", "--seed", "2", "--photon")
@@ -374,6 +498,15 @@ class TestTopLevel:
 
     def test_non_integer_spin_flag(self, capsys):
         assert main(["correlate", "--two-s", "1.5", "--a", "0,0", "--b", "0,0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["correlate", "--two-s", "1", "--a", "0,0", "--b", "0,0", "--c", "1,1"],
+        ["correlate", "--two-s", "1", "--a", "0,0", "--b", "0,0", "--mod", "raw"],
+        ["check", "--kind", "chsh", "--two-s", "1", *TSIRELSON_FLAGS, "--prov", "lc"],
+    ])
+    def test_flags_must_be_spelled_in_full(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_unwritable_output_is_io_error(self, capsys):
         code, _ = run(capsys, "correlate", "--two-s", "1", "--a", "0,0",

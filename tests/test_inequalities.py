@@ -205,24 +205,6 @@ class TestReports:
         again = InequalityReport.from_json(r.to_json())
         assert again == r
 
-    def test_csv_shape(self):
-        p = full_provider(singlet(SpinQuantum(1)))
-        three = bell_check(p, *TSIRELSON[:3])
-        four = chsh_check(p, *TSIRELSON)
-        assert len(three.csv_header().split(",")) == 11
-        assert len(three.csv_row().split(",")) == 11
-        assert len(four.csv_header().split(",")) == 13
-        assert len(four.csv_row().split(",")) == 13
-        assert four.csv_row().endswith("true")
-        assert four.csv_row().startswith("chsh,")
-
-    def test_csv_round_trips_floats(self):
-        p = full_provider(singlet(SpinQuantum(1)))
-        r = bell_check(p, Direction(0.1, 0.2), Direction(1.3, 4.5), Direction(2.2, 0.9))
-        fields = r.csv_row().split(",")
-        assert float(fields[7]) == r.lhs
-        assert float(fields[9]) == r.margin
-
 
 class TestDispatcher:
     def test_routes_by_kind(self):

@@ -22,7 +22,7 @@ from bellcat import (
     sample_outcomes,
     singlet,
 )
-from bellcat import rng
+from bellcat import rng, sampling
 
 PI = math.pi
 EQ = Direction(PI / 2, 0.0)
@@ -202,6 +202,21 @@ class TestSampleOutcomes:
             stats = sample_outcomes(st, random_direction(rng_np),
                                     random_direction(rng_np), 500, k)
             assert -1.0 <= stats.estimate <= 1.0
+
+    @pytest.mark.parametrize("two_s", [1, 2])
+    def test_block_draws_match_one_shot_draw(self, monkeypatch, two_s):
+        st = singlet(SpinQuantum(two_s))
+        a, b = Direction(0.7, 0.1), Direction(1.9, 2.2)
+        n, seed = 3500, 77
+        probs = outcome_probabilities(st, a, b)
+        cdf = np.cumsum(probs[:4])
+        if probs[4] == 0.0:
+            cdf[3] = 1.0
+        cats = np.searchsorted(cdf, rng.uniforms(seed, n), side="right")
+        one_shot = dict(zip(CATEGORIES, np.bincount(cats, minlength=5).tolist()))
+        # three full blocks and a partial one
+        monkeypatch.setattr(sampling, "_BLOCK", 1000)
+        assert sample_outcomes(st, a, b, n, seed).counts == one_shot
 
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
