@@ -209,15 +209,13 @@ def _emit(args, cfg: dict, payload: dict, header=None, rows=(), artifact=None) -
 
     The JSON artifact is artifact, or payload when that is None.  The CSV
     artifact is the header line then one line per row; a command that
-    passes no header has JSON artifacts only.
+    passes no header is refused CSV by main before any work.
     """
     print(json.dumps(payload, indent=2))
     path = _pick(args, cfg, "output", "output", "path")
     if not path:
         return
     fmt = _pick(args, cfg, "format", "output", "format", default="json")
-    if fmt == "csv" and header is None:
-        raise ConfigError(f"{args.command} artifacts support only --format json")
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "csv":
             fh.writelines(_csv_line(row) + "\n" for row in itertools.chain([header], rows))
@@ -290,6 +288,8 @@ def _cmd_sample(args, cfg: dict) -> int:
                  required="sample requires an explicit --seed")
     postselect = _pick(args, cfg, "postselect", "sample", "postselect", default=False)
     if _pick(args, cfg, "photon", "sample", "photon", default=False):
+        if postselect:
+            raise ConfigError("--photon ignores postselect; the photon emulation draws raw")
         record = photon_emulation(state, a, b, n, seed)
         payload, stats = record.to_dict(), record.stats
     else:
@@ -399,6 +399,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         cfg = _load_config(getattr(args, "config", None))
+        # optimize and coherent write no table: refuse CSV before any work.
+        path = _pick(args, cfg, "output", "output", "path")
+        if path and args.command in ("optimize", "coherent") and _pick(
+                args, cfg, "format", "output", "format") == "csv":
+            raise ConfigError(f"{args.command} artifacts support only --format json")
         return _COMMANDS[args.command][0](args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

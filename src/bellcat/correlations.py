@@ -171,6 +171,30 @@ def rho_elements_oracle(state: CatState, a: Direction, b: Direction) -> Diagonal
     return DiagonalElements(lc, nlc)
 
 
+def _closed_parts(state: CatState, a: Direction, b: Direction) -> tuple[tuple, tuple]:
+    """rho_elements_closed's closed forms as (lc, nlc) 4-tuples of Python floats.
+
+    Not numpy: float64 array powers can differ from float ** int in the last bit.
+    """
+    two_s = state.s.two_s
+    ka, ga = math.cos(a.theta / 2.0) ** two_s, math.sin(a.theta / 2.0) ** two_s
+    kb, gb = math.cos(b.theta / 2.0) ** two_s, math.sin(b.theta / 2.0) ** two_s
+    ka2, ga2, kb2, gb2 = ka * ka, ga * ga, kb * kb, gb * gb
+    coeffs = state.coeffs
+    w1, w2 = coeffs.weight1, coeffs.weight2
+    lc = (w1 * ka2 * gb2 + w2 * ga2 * kb2, w1 * ka2 * kb2 + w2 * ga2 * gb2,
+          w1 * ga2 * gb2 + w2 * ka2 * kb2, w1 * ga2 * kb2 + w2 * ka2 * gb2)
+    cross = (coeffs.interference * math.cos(two_s * (a.phi - b.phi) + coeffs.delta)
+             * ka * ga * kb * gb)
+    flipped = state.s.parity * cross
+    return lc, (cross, flipped, flipped, cross)
+
+
+def _weight(lc: tuple, nlc: tuple) -> float:
+    # Summed left to right as numpy sums a 4-vector: equals DiagonalElements.weight.
+    return (((lc[0] + lc[1]) + lc[2]) + lc[3]) + (((nlc[0] + nlc[1]) + nlc[2]) + nlc[3])
+
+
 def rho_elements_closed(state: CatState, a: Direction, b: Direction) -> DiagonalElements:
     """Diagonal elements from the closed forms.
 
@@ -187,36 +211,8 @@ def rho_elements_closed(state: CatState, a: Direction, b: Direction) -> Diagonal
     outcome is flipped; it is what makes integer and half-integer spins
     behave differently.
     """
-    two_s = state.s.two_s
-    ka = math.cos(a.theta / 2.0) ** two_s
-    ga = math.sin(a.theta / 2.0) ** two_s
-    kb = math.cos(b.theta / 2.0) ** two_s
-    gb = math.sin(b.theta / 2.0) ** two_s
-    ka2, ga2, kb2, gb2 = ka * ka, ga * ga, kb * kb, gb * gb
-    w1 = state.coeffs.weight1
-    w2 = state.coeffs.weight2
-    lc = np.array(
-        [
-            w1 * ka2 * gb2 + w2 * ga2 * kb2,
-            w1 * ka2 * kb2 + w2 * ga2 * gb2,
-            w1 * ga2 * gb2 + w2 * ka2 * kb2,
-            w1 * ga2 * kb2 + w2 * ka2 * gb2,
-        ]
-    )
-    cross = (
-        state.coeffs.interference
-        * math.cos(two_s * (a.phi - b.phi) + state.coeffs.delta)
-        * ka * ga * kb * gb
-    )
-    par = state.s.parity
-    nlc = np.array([cross, par * cross, par * cross, cross])
-    return DiagonalElements(lc, nlc)
-
-
-def _signed_sum(values: np.ndarray) -> float:
-    # Fixed association (v1 - v2) + (v4 - v3) so equal-and-opposite pairs
-    # cancel to exactly 0.0 in floating point.
-    return (float(values[0]) - float(values[1])) + (float(values[3]) - float(values[2]))
+    lc, nlc = _closed_parts(state, a, b)
+    return DiagonalElements(np.array(lc), np.array(nlc))
 
 
 def correlation(state: CatState, a: Direction, b: Direction,
@@ -240,10 +236,12 @@ def correlation(state: CatState, a: Direction, b: Direction,
     """
     if mode not in ("raw", "postselected"):
         raise ValueError(f"mode must be 'raw' or 'postselected', got {mode!r}")
-    elements = rho_elements_closed(state, a, b)
-    p_lc = _signed_sum(elements.lc)
-    p_nlc = _signed_sum(elements.nlc)
-    weight = elements.weight
+    lc, nlc = _closed_parts(state, a, b)
+    # Fixed association (v1 - v2) + (v4 - v3) so equal-and-opposite pairs
+    # cancel to exactly 0.0 in floating point.
+    p_lc = (lc[0] - lc[1]) + (lc[3] - lc[2])
+    p_nlc = (nlc[0] - nlc[1]) + (nlc[3] - nlc[2])
+    weight = _weight(lc, nlc)
     if mode == "postselected":
         if weight < WEIGHT_TOL:
             raise DegeneratePostselectionError(
@@ -274,17 +272,8 @@ def nlc_correlation_closed(state: CatState, a: Direction, b: Direction) -> float
     """
     if state.s.is_integer:
         return 0.0
-    two_s = state.s.two_s
-    ka = math.cos(a.theta / 2.0) ** two_s
-    ga = math.sin(a.theta / 2.0) ** two_s
-    kb = math.cos(b.theta / 2.0) ** two_s
-    gb = math.sin(b.theta / 2.0) ** two_s
-    cross = (
-        state.coeffs.interference
-        * math.cos(two_s * (a.phi - b.phi) + state.coeffs.delta)
-        * ka * ga * kb * gb
-    )
-    return 4.0 * cross
+    nlc = _closed_parts(state, a, b)[1]
+    return (nlc[0] - nlc[1]) + (nlc[3] - nlc[2])
 
 
 _SIGN_INDEX = {(+1, +1): 0, (+1, -1): 1, (-1, +1): 2, (-1, -1): 3}
@@ -298,16 +287,21 @@ def wigner_joint(state: CatState, a: Direction, b: Direction,
     local hidden-variable mixture of the two branches would assign) or the
     full quantum value ("full").
     """
+    return _joint(state, a, b, sign_a, sign_b, part)
+
+
+def _joint(state: CatState, a: Direction, b: Direction, sign_a: int, sign_b: int,
+           part: str, postselected: bool = False) -> float:
+    # wigner_joint; postselected divides by the weight of the same kernel call.
     key = (int(sign_a), int(sign_b))
     if key not in _SIGN_INDEX:
         raise ValueError(f"signs must be +1 or -1, got {key}")
     if part not in ("lc", "full"):
         raise ValueError(f"part must be 'lc' or 'full', got {part!r}")
-    elements = rho_elements_closed(state, a, b)
-    idx = _SIGN_INDEX[key]
-    if part == "lc":
-        return float(elements.lc[idx])
-    return float(elements.totals[idx])
+    lc, nlc = _closed_parts(state, a, b)
+    i = _SIGN_INDEX[key]
+    p = lc[i] if part == "lc" else lc[i] + nlc[i]
+    return p / _weight(lc, nlc) if postselected else p
 
 
 def unrestricted_correlation(state: CatState, a: Direction, b: Direction,

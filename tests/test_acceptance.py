@@ -94,7 +94,7 @@ def test_criterion_3_integer_spin_immunity_and_half_integer_contrast(report):
                     br_db = bc.correlation(st, d, b)
                     br_dc = bc.correlation(st, d, c)
                     for br in (br_ab, br_ac, br_db, br_dc):
-                        assert abs(br.p_nlc) <= 1e-12
+                        assert br.p_nlc == 0.0
                     value = abs(br_ab.p_total + br_ac.p_total
                                 + br_db.p_total - br_dc.p_total)
                     if value > best_s:

@@ -388,6 +388,32 @@ class TestOptimize:
                       "--output", str(tmp_path / "x.csv"), "--format", "csv")
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_csv_artifact_rejected_before_search(self, capsys, tmp_path, monkeypatch, source):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("bellcat.cli.multistart_refine", no_search)
+        target = tmp_path / "x.csv"
+        if source == "flags":
+            extra = ["--output", str(target), "--format", "csv"]
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({"output": {"path": str(target), "format": "csv"}}))
+            extra = ["--config", str(path)]
+        code = main(["optimize", "--kind", "chsh", "--two-s", "1", "--starts", "2",
+                     "--seed", "7", *extra])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "only --format json" in captured.err
+        assert not target.exists()
+
+    def test_csv_format_without_output_still_runs(self, capsys):
+        code, out = run(capsys, "optimize", "--kind", "chsh", "--two-s", "1",
+                        "--starts", "1", "--seed", "1", "--max-iter", "20", "--format", "csv")
+        assert code == 0
+        assert json.loads(out)["kind"] == "chsh"
+
 
 class TestSample:
     def test_aligned_axes(self, capsys):
@@ -439,6 +465,28 @@ class TestSample:
         assert payload["stats"]["estimate"] == -1.0
         assert abs(payload["product_estimate"]) < 0.05
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_photon_rejects_postselect_before_drawing(self, capsys, tmp_path, monkeypatch,
+                                                       source):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("shots were drawn")
+
+        monkeypatch.setattr("bellcat.cli.photon_emulation", no_draw)
+        monkeypatch.setattr("bellcat.cli.sample_outcomes", no_draw)
+        if source == "flag":
+            extra = ["--postselect"]
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({"sample": {"postselect": True}}))
+            extra = ["--config", str(path)]
+        target = tmp_path / "shots.json"
+        code = main(["sample", "--two-s", "2", "--a", "0.7,0.1", "--b", "1.9,2.2",
+                     "--n", "1000", "--seed", "3", "--photon", *extra, "--output", str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "--photon" in captured.err
+        assert not target.exists()
+
     def test_photon_mode_needs_spin_one(self, capsys):
         code, _ = run(capsys, "sample", "--two-s", "1", "--a", "0,0",
                       "--b", "0,0", "--n", "100", "--seed", "2", "--photon")
@@ -477,6 +525,17 @@ class TestCoherent:
     def test_requires_direction(self, capsys):
         code, _ = run(capsys, "coherent", "--two-s", "1")
         assert code == 2
+
+    def test_csv_artifact_rejected(self, capsys, tmp_path, monkeypatch):
+        def no_ket(*args, **kwargs):
+            raise AssertionError("the ket was built")
+
+        monkeypatch.setattr("bellcat.cli.coherent_state", no_ket)
+        target = tmp_path / "ket.csv"
+        code, out = run(capsys, "coherent", "--two-s", "2", "--dir", "0,0",
+                        "--output", str(target), "--format", "csv")
+        assert (code, out) == (2, "")
+        assert not target.exists()
 
     def test_takes_no_cat_coefficients(self, capsys):
         code, _ = run(capsys, "coherent", "--two-s", "2", "--alpha", "0.3",

@@ -1,0 +1,183 @@
+"""The scalar correlation path equals the numpy closed forms bit for bit.
+
+The reference below is the array form of the closed-form diagonal
+elements and of correlation, as the library computed them before its
+scalar path moved to plain Python floats.  Every scalar reader must
+reproduce it exactly, including the sign of zeros and which inputs raise.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellcat import (
+    CatCoefficients,
+    CatState,
+    DegeneratePostselectionError,
+    Direction,
+    SpinQuantum,
+    correlation,
+    full_provider,
+    nlc_correlation_closed,
+    rho_elements_closed,
+    wigner_joint,
+)
+from bellcat.correlations import WEIGHT_TOL
+
+SIGNS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
+
+def reference_elements(state, a, b):
+    """(lc, nlc) as float64 arrays, built from the cat coefficients directly."""
+    two_s = state.s.two_s
+    ka = math.cos(a.theta / 2.0) ** two_s
+    ga = math.sin(a.theta / 2.0) ** two_s
+    kb = math.cos(b.theta / 2.0) ** two_s
+    gb = math.sin(b.theta / 2.0) ** two_s
+    ka2, ga2, kb2, gb2 = ka * ka, ga * ga, kb * kb, gb * gb
+    c = state.coeffs
+    w1 = math.cos(c.alpha) ** 2
+    w2 = math.sin(c.alpha) ** 2
+    lc = np.array([
+        w1 * ka2 * gb2 + w2 * ga2 * kb2,
+        w1 * ka2 * kb2 + w2 * ga2 * gb2,
+        w1 * ga2 * gb2 + w2 * ka2 * kb2,
+        w1 * ga2 * kb2 + w2 * ka2 * gb2,
+    ])
+    cross = (
+        math.sin(2.0 * c.alpha)
+        * math.cos(two_s * (a.phi - b.phi) + (c.gamma1 - c.gamma2))
+        * ka * ga * kb * gb
+    )
+    par = state.s.parity
+    return lc, np.array([cross, par * cross, par * cross, cross])
+
+
+def reference_weight(lc, nlc):
+    return float(lc.sum() + nlc.sum())
+
+
+def signed_sum(values):
+    return (float(values[0]) - float(values[1])) + (float(values[3]) - float(values[2]))
+
+
+def reference_correlation(state, a, b, mode):
+    lc, nlc = reference_elements(state, a, b)
+    p_lc = signed_sum(lc)
+    p_nlc = signed_sum(nlc)
+    weight = reference_weight(lc, nlc)
+    if mode == "postselected":
+        if weight < WEIGHT_TOL:
+            raise DegeneratePostselectionError(
+                f"conclusive weight {weight:.3e} below {WEIGHT_TOL:.0e}"
+            )
+        p_lc /= weight
+        p_nlc /= weight
+    return (p_lc + p_nlc, p_lc, p_nlc, weight)
+
+
+def breakdown(state, a, b, mode):
+    br = correlation(state, a, b, mode)
+    assert br.mode == mode
+    return (br.p_total, br.p_lc, br.p_nlc, br.postselect_weight)
+
+
+def reference_joint(state, a, b, sign_a, sign_b, part, postselected=False):
+    lc, nlc = reference_elements(state, a, b)
+    idx = SIGNS.index((sign_a, sign_b))
+    p = float(lc[idx]) if part == "lc" else float((lc + nlc)[idx])
+    if postselected:
+        p /= reference_weight(lc, nlc)
+    return p
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def same(x, y) -> bool:
+    """Equal, and for floats also equal in the sign of zero."""
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        return len(x) == len(y) and all(same(u, v) for u, v in zip(x, y))
+    if isinstance(x, float) and isinstance(y, float):
+        return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    return type(x) is type(y) and x == y
+
+
+special = st.sampled_from([0.0, math.pi / 2, math.pi])
+angle = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+direction = st.builds(Direction, angle, angle)
+coefficient = st.one_of(st.sampled_from([0.0, math.pi / 4, -math.pi / 4, math.pi / 2]),
+                        st.floats(-10.0, 10.0))
+spin = st.sampled_from([1, 2, 3, 4, 5, 6, 59, 60, 61]).map(SpinQuantum)
+state = st.builds(CatState, spin, st.builds(CatCoefficients, coefficient, coefficient,
+                                            coefficient))
+kernel = settings(max_examples=300, deadline=None)
+
+
+@kernel
+@given(state=state, a=direction, b=direction)
+def test_correlation_matches_reference(state, a, b):
+    for mode in ("raw", "postselected"):
+        got = outcome(breakdown, state, a, b, mode)
+        want = outcome(reference_correlation, state, a, b, mode)
+        assert same(got, want), (mode, got, want)
+
+
+@kernel
+@given(state=state, a=direction, b=direction)
+def test_rho_elements_closed_matches_reference(state, a, b):
+    elements = rho_elements_closed(state, a, b)
+    lc, nlc = reference_elements(state, a, b)
+    assert same(tuple(elements.lc.tolist()), tuple(lc.tolist()))
+    assert same(tuple(elements.nlc.tolist()), tuple(nlc.tolist()))
+    assert same(elements.weight, reference_weight(lc, nlc))
+
+
+@kernel
+@given(state=state, a=direction, b=direction)
+def test_wigner_joint_matches_reference(state, a, b):
+    for sign_a, sign_b in SIGNS:
+        for part in ("lc", "full"):
+            got = wigner_joint(state, a, b, sign_a, sign_b, part)
+            assert same(got, reference_joint(state, a, b, sign_a, sign_b, part))
+
+
+@kernel
+@given(state=state, a=direction, b=direction)
+def test_nlc_correlation_closed_matches_reference(state, a, b):
+    if state.s.is_integer:
+        want = 0.0
+    else:
+        want = 4.0 * float(reference_elements(state, a, b)[1][0])
+    assert same(nlc_correlation_closed(state, a, b), want)
+
+
+@kernel
+@given(state=state, a=direction, b=direction)
+def test_full_provider_joint_matches_reference(state, a, b):
+    for mode in ("raw", "postselected"):
+        joint = full_provider(state, mode).joint
+        for sign_a, sign_b in SIGNS:
+            got = outcome(joint, a, b, sign_a, sign_b)
+            want = outcome(reference_joint, state, a, b, sign_a, sign_b, "full",
+                           postselected=mode == "postselected")
+            assert same(got, want), (mode, sign_a, sign_b, got, want)
+
+
+@kernel
+@given(two_s=st.sampled_from([2, 4, 6, 60]),
+       coeffs=st.tuples(coefficient, coefficient, coefficient), a=direction, b=direction)
+def test_integer_spin_interference_part_is_exactly_zero(two_s, coeffs, a, b):
+    cat = CatState(SpinQuantum(two_s), CatCoefficients(*coeffs))
+    assert correlation(cat, a, b).p_nlc == 0.0
+    assert nlc_correlation_closed(cat, a, b) == 0.0
+    postselected = outcome(correlation, cat, a, b, "postselected")
+    if not isinstance(postselected, tuple):
+        assert postselected.p_nlc == 0.0

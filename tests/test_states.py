@@ -45,6 +45,17 @@ class TestCoefficients:
             assert c.weight1 + c.weight2 == pytest.approx(1.0, abs=1e-14)
             assert abs(c.c1) ** 2 == pytest.approx(c.weight1, abs=1e-14)
 
+    def test_constants_read_once_leave_identity_alone(self):
+        read = CatCoefficients(0.7, 0.3, -0.8)
+        fresh = CatCoefficients(0.7, 0.3, -0.8)
+        assert (read.weight1, read.weight2) == (math.cos(0.7) ** 2, math.sin(0.7) ** 2)
+        assert (read.interference, read.delta) == (math.sin(1.4), 0.3 - -0.8)
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        spin = SpinQuantum(2)
+        assert CatState(spin, read).to_dict() == CatState(spin, fresh).to_dict()
+        with pytest.raises(AttributeError):
+            read.alpha = 0.1
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             CatCoefficients(math.nan)
