@@ -209,7 +209,7 @@ def _emit(args, cfg: dict, payload: dict, header=None, rows=(), artifact=None) -
 
     The JSON artifact is artifact, or payload when that is None.  The CSV
     artifact is the header line then one line per row; a command that
-    passes no header is refused CSV by main before any work.
+    passes no header calls _refuse_csv before any work.
     """
     print(json.dumps(payload, indent=2))
     path = _pick(args, cfg, "output", "output", "path")
@@ -221,6 +221,13 @@ def _emit(args, cfg: dict, payload: dict, header=None, rows=(), artifact=None) -
             fh.writelines(_csv_line(row) + "\n" for row in itertools.chain([header], rows))
         else:
             fh.write(json.dumps(payload if artifact is None else artifact, indent=2) + "\n")
+
+
+def _refuse_csv(args, cfg: dict) -> None:
+    # For a command with no table: refuse a CSV artifact before any work.
+    if _pick(args, cfg, "output", "output", "path") and _pick(
+            args, cfg, "format", "output", "format") == "csv":
+        raise ConfigError(f"{args.command} artifacts support only --format json")
 
 
 def _cmd_correlate(args, cfg: dict) -> int:
@@ -263,6 +270,7 @@ def _cmd_sweep(args, cfg: dict) -> int:
 
 
 def _cmd_optimize(args, cfg: dict) -> int:
+    _refuse_csv(args, cfg)
     state = _state_from(args, cfg)
     kind = _kind_of(args, cfg)
     starts = _pick(args, cfg, "starts", "optimize", "starts",
@@ -304,6 +312,7 @@ def _cmd_sample(args, cfg: dict) -> int:
 
 
 def _cmd_coherent(args, cfg: dict) -> int:
+    _refuse_csv(args, cfg)
     s = _spin_from(args, cfg)
     if args.dir is None:
         raise ConfigError("coherent requires --dir theta,phi")
@@ -399,11 +408,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         cfg = _load_config(getattr(args, "config", None))
-        # optimize and coherent write no table: refuse CSV before any work.
-        path = _pick(args, cfg, "output", "output", "path")
-        if path and args.command in ("optimize", "coherent") and _pick(
-                args, cfg, "format", "output", "format") == "csv":
-            raise ConfigError(f"{args.command} artifacts support only --format json")
         return _COMMANDS[args.command][0](args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -190,11 +190,6 @@ def _closed_parts(state: CatState, a: Direction, b: Direction) -> tuple[tuple, t
     return lc, (cross, flipped, flipped, cross)
 
 
-def _weight(lc: tuple, nlc: tuple) -> float:
-    # Summed left to right as numpy sums a 4-vector: equals DiagonalElements.weight.
-    return (((lc[0] + lc[1]) + lc[2]) + lc[3]) + (((nlc[0] + nlc[1]) + nlc[2]) + nlc[3])
-
-
 def rho_elements_closed(state: CatState, a: Direction, b: Direction) -> DiagonalElements:
     """Diagonal elements from the closed forms.
 
@@ -241,7 +236,8 @@ def correlation(state: CatState, a: Direction, b: Direction,
     # cancel to exactly 0.0 in floating point.
     p_lc = (lc[0] - lc[1]) + (lc[3] - lc[2])
     p_nlc = (nlc[0] - nlc[1]) + (nlc[3] - nlc[2])
-    weight = _weight(lc, nlc)
+    # Summed left to right as numpy sums a 4-vector: equals DiagonalElements.weight.
+    weight = (((lc[0] + lc[1]) + lc[2]) + lc[3]) + (((nlc[0] + nlc[1]) + nlc[2]) + nlc[3])
     if mode == "postselected":
         if weight < WEIGHT_TOL:
             raise DegeneratePostselectionError(
@@ -287,12 +283,6 @@ def wigner_joint(state: CatState, a: Direction, b: Direction,
     local hidden-variable mixture of the two branches would assign) or the
     full quantum value ("full").
     """
-    return _joint(state, a, b, sign_a, sign_b, part)
-
-
-def _joint(state: CatState, a: Direction, b: Direction, sign_a: int, sign_b: int,
-           part: str, postselected: bool = False) -> float:
-    # wigner_joint; postselected divides by the weight of the same kernel call.
     key = (int(sign_a), int(sign_b))
     if key not in _SIGN_INDEX:
         raise ValueError(f"signs must be +1 or -1, got {key}")
@@ -300,8 +290,7 @@ def _joint(state: CatState, a: Direction, b: Direction, sign_a: int, sign_b: int
         raise ValueError(f"part must be 'lc' or 'full', got {part!r}")
     lc, nlc = _closed_parts(state, a, b)
     i = _SIGN_INDEX[key]
-    p = lc[i] if part == "lc" else lc[i] + nlc[i]
-    return p / _weight(lc, nlc) if postselected else p
+    return lc[i] if part == "lc" else lc[i] + nlc[i]
 
 
 def unrestricted_correlation(state: CatState, a: Direction, b: Direction,

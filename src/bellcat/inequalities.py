@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .correlations import (
-    _joint,
     correlation,
     lc_correlation_closed,
-    rho_elements_closed,  # noqa: F401  (bellbench's tracer wraps it in this module)
+    rho_elements_closed,
     wigner_joint,
 )
 from .spins import Direction
@@ -83,9 +82,10 @@ def full_provider(state: CatState, mode: str = "raw") -> CorrelationProvider:
         return correlation(state, a, b, mode=mode).p_total
 
     def joint(a: Direction, b: Direction, sign_a: int, sign_b: int) -> float:
+        p = wigner_joint(state, a, b, sign_a, sign_b, part="full")
         if mode == "postselected":
-            return _joint(state, a, b, sign_a, sign_b, "full", postselected=True)
-        return wigner_joint(state, a, b, sign_a, sign_b, part="full")
+            p /= rho_elements_closed(state, a, b).weight
+        return p
 
     return CorrelationProvider("full", corr, joint)
 
