@@ -204,11 +204,38 @@ def _angle_columns(arity: int) -> list[str]:
     return [f"{angle}_{x}" for x in "abcd"[:arity] for angle in ("theta", "phi")]
 
 
+class _AngleText(dict):
+    """repr of each sweep grid angle, made once: every row repeats them.
+
+    Grid angles are canonical Direction angles, finite and never -0.0, so
+    keying on the float is exact, and repr is also their JSON text.
+    """
+
+    def __missing__(self, angle: float) -> str:
+        text = self[angle] = repr(angle)
+        return text
+
+
+def _sweep_json(payload: dict, rows: list) -> str:
+    """json.dumps({"result": payload, "rows": [[*angles, value], ...]}, indent=2).
+
+    The rows are laid out here, with each angle's text made once, because
+    json.dumps formats every float in Python when it indents.
+    """
+    text = _AngleText()
+    head = json.dumps({"result": payload, "rows": []}, indent=2)
+    body = ",\n".join(
+        "    [\n      " + ",\n      ".join(map(text.__getitem__, angles)) + ",\n      "
+        + (repr(value) if math.isfinite(value) else json.dumps(value)) + "\n    ]"
+        for angles, value in rows)
+    return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}"
+
+
 def _emit(args, cfg: dict, payload: dict, header=None, rows=(), artifact=None) -> None:
     """Print payload as JSON, then write the --output artifact if one is asked for.
 
-    The JSON artifact is artifact, or payload when that is None.  The CSV
-    artifact is the header line then one line per row; a command that
+    The JSON artifact is payload's, or the text artifact() returns.  The
+    CSV artifact is the header line then one line per row; a command that
     passes no header calls _refuse_csv before any work.
     """
     print(json.dumps(payload, indent=2))
@@ -220,7 +247,7 @@ def _emit(args, cfg: dict, payload: dict, header=None, rows=(), artifact=None) -
         if fmt == "csv":
             fh.writelines(_csv_line(row) + "\n" for row in itertools.chain([header], rows))
         else:
-            fh.write(json.dumps(payload if artifact is None else artifact, indent=2) + "\n")
+            fh.write((json.dumps(payload, indent=2) if artifact is None else artifact()) + "\n")
 
 
 def _refuse_csv(args, cfg: dict) -> None:
@@ -259,13 +286,15 @@ def _cmd_sweep(args, cfg: dict) -> int:
     resolution = _pick(args, cfg, "resolution", "sweep", "resolution",
                        required="sweep requires --resolution")
     provider = _provider_from(args, cfg, state)
-    rows: list[list[float]] = []
+    rows: list[tuple[tuple[float, ...], float]] = []
     path = _pick(args, cfg, "output", "output", "path")
     result = grid_sweep(provider, kind, resolution,
-                        sink=(lambda ang, val: rows.append([*ang, val])) if path else None)
+                        sink=(lambda ang, val: rows.append((ang, val))) if path else None)
     payload = {**result.to_dict(), "provenance": provider.provenance}
+    text = _AngleText()
     _emit(args, cfg, payload, ["kind", *_angle_columns(INEQUALITIES[kind].arity), "value"],
-          ([kind, *row] for row in rows), artifact={"result": payload, "rows": rows})
+          ((kind, ",".join(map(text.__getitem__, ang)), val) for ang, val in rows),
+          artifact=lambda: _sweep_json(payload, rows))
     return 0
 
 

@@ -2,8 +2,8 @@
 
 Two derivative-free stages: a dense grid sweep that evaluates every
 combination of gridded directions through a broadcast pair-correlation
-table, and local Nelder-Mead polish (scipy) from the sweep winner or from
-seeded random multistarts.  The objective is smooth in the raw angles, so
+table, and local Nelder-Mead polish from the sweep winner or from seeded
+random multistarts.  The objective is smooth in the raw angles, so
 simplex refinement converges quickly once the sweep lands in the right
 basin.
 """
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import rng
 from .inequalities import CorrelationProvider, InequalityReport, check, evaluate, inequality
@@ -189,6 +188,64 @@ def _simplex_around(x0: np.ndarray, edge: float) -> np.ndarray:
     return simplex
 
 
+def _nelder_mead(f: Callable[[np.ndarray], float], sim: np.ndarray, fatol: float,
+                 maxiter: int, callback: Callable[[], None],
+                 ) -> tuple[np.ndarray, float, bool]:
+    """Minimize f from the initial simplex sim; return (x, fun, converged).
+
+    Ported expression for expression, sorts and stopping test included,
+    from the reference that tests/test_optimize.py compares it with bit for
+    bit, for refine's case only: standard coefficients, no bounds, no
+    evaluation cap, and no x-spread test (with an infinite tolerance it
+    fails only on NaN, which Direction rejects).  The initial simplex is
+    iteration 1, so at most maxiter - 1 steps run, each followed by one
+    callback; converged means maxiter was not reached.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = sim.shape[1]
+    fsim = np.array([f(np.copy(x)) for x in sim], dtype=float)
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(np.copy(xr))
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(np.copy(xe))
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(np.copy(xc))
+                accept = fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(np.copy(xc))
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(np.copy(sim[j]))
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+        callback()
+    return sim[0], np.min(fsim), iterations < maxiter
+
+
 def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
            max_iter: int = 2000, tol: float = 1e-10) -> OptimizationResult:
     """Nelder-Mead polish of a starting configuration.
@@ -196,6 +253,12 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     Terminates on objective-value spread below tol (the angle spread is
     deliberately not a criterion: flat directions are common at optima).
     Never returns a configuration worse than the start.
+
+    max_iter counts the initial simplex as iteration 1, so at most
+    max_iter - 1 simplex steps run and the trace has at most max_iter - 1
+    entries, one per step; converged is False when max_iter is reached.
+    With max_iter=1 only the start and the dim + 1 simplex vertices are
+    evaluated, the trace is empty and converged is False.
     """
     start_value = objective_value(provider, kind, start)
     x0 = start.flat()
@@ -209,29 +272,17 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
             state["best"] = value
         return -value
 
-    def on_iteration(_xk: np.ndarray) -> None:
+    def on_iteration() -> None:
         trace.append((len(trace), state["best"]))
 
-    result = minimize(
-        negated,
-        x0,
-        method="Nelder-Mead",
-        callback=on_iteration,
-        options={
-            "initial_simplex": _simplex_around(x0, 0.1),
-            "fatol": tol,
-            "xatol": np.inf,
-            "maxiter": max_iter,
-            "maxfev": 10**9,
-        },
-    )
-    best_config = AngleConfig.from_flat(result.x)
-    best_value = -float(result.fun)
+    x, fun, converged = _nelder_mead(negated, _simplex_around(x0, 0.1), tol,
+                                     max_iter, on_iteration)
+    best_config = AngleConfig.from_flat(x)
+    best_value = -float(fun)
     if start_value > best_value:
         best_config, best_value = start, start_value
     return OptimizationResult(
-        kind, best_config, best_value, state["evals"], bool(result.success),
-        tuple(trace),
+        kind, best_config, best_value, state["evals"], converged, tuple(trace),
     )
 
 

@@ -111,6 +111,9 @@ class Direction:
             t = 2.0 * math.pi - t
             p = p + math.pi
         p = p % (2.0 * math.pi)
+        if p == 2.0 * math.pi:
+            # the remainder of a tiny negative p rounds up to 2*pi itself
+            p = 0.0
         object.__setattr__(self, "theta", t)
         object.__setattr__(self, "phi", p)
 

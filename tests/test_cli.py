@@ -9,7 +9,7 @@ import pytest
 
 from bellcat import (CATEGORIES, CatCoefficients, CatState, CorrelationBreakdown, Direction,
                      InequalityReport, SampleStats, SpinQuantum, check, correlation,
-                     full_provider, sample_outcomes, singlet)
+                     full_provider, grid_sweep, sample_outcomes, singlet)
 from bellcat.cli import main
 
 PI = math.pi
@@ -342,6 +342,33 @@ class TestSweep:
         assert len(doc["rows"]) == 4 ** 3
         assert len(doc["rows"][0]) == 7
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind,two_s,mode", [
+        ("bell", 1, "raw"), ("chsh", 3, "postselected"), ("wigner", 2, "raw"),
+        ("quadratic", 1, "postselected"),
+    ])
+    def test_artifact_bytes(self, capsys, tmp_path, fmt, kind, two_s, mode):
+        # the rows as the library emits them, laid out by the csv and json
+        # writers the artifact must match byte for byte
+        target = tmp_path / f"rows.{fmt}"
+        state = CatState(SpinQuantum(two_s), CatCoefficients(0.3, -1.1, 2.5))
+        code, out = run(capsys, "sweep", "--kind", kind, "--two-s", str(two_s),
+                        "--alpha", "0.3", "--gamma1", "-1.1", "--gamma2", "2.5",
+                        "--mode", mode, "--resolution", "3", "--output", str(target),
+                        "--format", fmt)
+        assert code == 0
+        rows = []
+        grid_sweep(full_provider(state, mode), kind, 3,
+                   sink=lambda ang, val: rows.append([*ang, val]))
+        if fmt == "csv":
+            arity = len(rows[0]) // 2
+            header = "kind," + ",".join(f"theta_{x},phi_{x}" for x in "abcd"[:arity])
+            lines = [header + ",value"] + [",".join([kind, *map(repr, r)]) for r in rows]
+            expected = "".join(line + "\n" for line in lines)
+        else:
+            expected = json.dumps({"result": json.loads(out), "rows": rows}, indent=2) + "\n"
+        assert target.read_text() == expected
+
     def test_budget_guard_is_domain_error(self, capsys):
         code, _ = run(capsys, "sweep", "--kind", "chsh", "--two-s", "1",
                       "--resolution", "11")
@@ -579,3 +606,13 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.optimize alone took about three quarters of the CLI's import
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bellcat, bellcat.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -25,6 +25,7 @@ from bellcat import (
     refine,
     singlet,
 )
+from bellcat.optimize import _nelder_mead, _simplex_around
 
 PI = math.pi
 TSIRELSON = AngleConfig((
@@ -167,6 +168,66 @@ class TestRefine:
     def test_arity_validation(self):
         with pytest.raises(ValueError):
             refine(full_half(), "bell", TSIRELSON)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5, 30])
+    def test_max_iter_counts_the_initial_simplex(self, max_iter):
+        rng = np.random.default_rng(max_iter)
+        start = AngleConfig(tuple(random_direction(rng) for _ in range(4)))
+        result = refine(full_half(), "chsh", start, max_iter=max_iter)
+        # at most max_iter - 1 steps, one trace entry each; converged means
+        # the loop stopped on tol before using them all
+        assert len(result.trace) <= max_iter - 1
+        assert result.converged == (len(result.trace) < max_iter - 1)
+        if max_iter == 1:
+            # empty trace, not converged: only the start and the 8 + 1
+            # vertices of the initial simplex are evaluated
+            assert result.evaluations == 1 + (8 + 1)
+
+
+class TestNelderMeadReference:
+    """The in-package Nelder-Mead reproduces scipy's, iterate for iterate."""
+
+    @pytest.mark.parametrize("mode", ["raw", "postselected"])
+    @pytest.mark.parametrize("two_s", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(INEQUALITIES))
+    def test_matches_scipy_bit_for_bit(self, kind, two_s, mode):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng([two_s, len(kind), len(mode)])
+        state = CatState(SpinQuantum(two_s),
+                         CatCoefficients(*rng.uniform(-PI, PI, 3)))
+        p = full_provider(state, mode)
+        arity = INEQUALITIES[kind].arity
+        x0 = AngleConfig(tuple(random_direction(rng) for _ in range(arity))).flat()
+
+        def reference(f, sim, max_iter, steps):
+            res = scipy_optimize.minimize(
+                f, x0, method="Nelder-Mead", callback=lambda *_: steps.append(1),
+                options={"initial_simplex": sim, "fatol": 1e-10, "xatol": np.inf,
+                         "maxiter": max_iter, "maxfev": 10**9},
+            )
+            # scipy counts the initial simplex as iteration 1
+            assert res.nit == 1 + len(steps)
+            return res.x, res.fun, bool(res.success)
+
+        def ours(f, sim, max_iter, steps):
+            return _nelder_mead(f, sim, 1e-10, max_iter, lambda: steps.append(1))
+
+        def run(minimizer, max_iter, digits):
+            calls, steps = [], []
+
+            def f(x):
+                calls.append(x.tobytes())
+                value = objective_value(p, kind, AngleConfig.from_flat(x))
+                return -value if digits is None else -round(value, digits)
+
+            x, fun, converged = minimizer(f, _simplex_around(x0, 0.1), max_iter, steps)
+            return x.tobytes(), repr(float(fun)), converged, calls, len(steps)
+
+        # the rounded objective has plateaus and exact ties, which take the
+        # shrink step and the tie sides of every comparison
+        for digits in (None, 2):
+            for max_iter in (1, 2, 7, 2000):
+                assert run(ours, max_iter, digits) == run(reference, max_iter, digits)
 
 
 class TestMultistart:

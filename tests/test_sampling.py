@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 from conftest import random_direction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellcat import (
     CATEGORIES,
+    CatCoefficients,
+    CatState,
     DiagonalElements,
     Direction,
     NegativeProbabilityError,
@@ -101,6 +105,18 @@ class TestOutcomeProbabilities:
                             lambda *_: broken)
         with pytest.raises(NegativeProbabilityError):
             outcome_probabilities(singlet(SpinQuantum(1)), EQ, EQ)
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_s=st.sampled_from([1, 2, 3, 4, 5, 6, 59, 60, 61]),
+           coeffs=st.tuples(*[st.floats(-PI, PI)] * 3),
+           angles=st.tuples(*[st.floats(-2 * PI, 2 * PI)] * 4))
+    def test_five_categories_form_a_distribution(self, two_s, coeffs, angles):
+        # 2s = 59/60/61 straddles the log-space amplitude switch at 60
+        state = CatState(SpinQuantum(two_s), CatCoefficients(*coeffs))
+        a, b = Direction(*angles[:2]), Direction(*angles[2:])
+        probs = outcome_probabilities(state, a, b)
+        assert np.all(probs >= 0.0)
+        assert abs(float(probs.sum()) - 1.0) <= 1e-12
 
     def test_tiny_probabilities_snap_to_zero(self):
         st = singlet(SpinQuantum(1))

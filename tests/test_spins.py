@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from conftest import nondegenerate_pair, random_direction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellcat import (
     DegenerateTriangleError,
@@ -75,6 +77,21 @@ class TestDirection:
                 math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)
             ])
             assert np.allclose(Direction(t, p).unit_vector(), raw, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=st.floats(-1e6, 1e6), phi=st.floats(-1e6, 1e6))
+    def test_canonicalization_is_idempotent(self, theta, phi):
+        d = Direction(theta, phi)
+        assert 0.0 <= d.theta <= PI
+        assert 0.0 <= d.phi < 2 * PI
+        again = Direction(d.theta, d.phi)
+        assert again == d
+        assert again.unit_vector().tobytes() == d.unit_vector().tobytes()
+
+    def test_tiny_negative_azimuth_stays_below_two_pi(self):
+        # -1e-20 % (2 pi) rounds to 2 pi itself
+        d = Direction(0.3, -1e-20)
+        assert d.phi == 0.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
