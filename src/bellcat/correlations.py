@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
     "rho_elements_oracle",
     "rho_elements_closed",
     "correlation",
+    "pair_kernel",
     "lc_correlation_closed",
     "nlc_correlation_closed",
     "wigner_joint",
@@ -116,7 +119,8 @@ class CorrelationBreakdown:
     """The +-1 product correlation and its local/non-local split.
 
     In raw mode inconclusive outcomes count as zero and p_total lies in
-    [-1, 1]; in postselected mode all three correlation fields are divided
+    [-1, 1], up to an ulp when cos(alpha)^2 + sin(alpha)^2 rounds above 1;
+    in postselected mode all three correlation fields are divided
     by the conclusive weight.  postselect_weight always reports the raw
     conclusive weight.
     """
@@ -126,6 +130,14 @@ class CorrelationBreakdown:
     p_nlc: float
     postselect_weight: float
     mode: str
+
+    def __init__(self, p_total: float, p_lc: float, p_nlc: float,
+                 postselect_weight: float, mode: str) -> None:
+        # Filled directly: the generated frozen __init__ sets each field
+        # through object.__setattr__, about a third of a correlation call.
+        d = self.__dict__
+        d["p_total"], d["p_lc"], d["p_nlc"] = p_total, p_lc, p_nlc
+        d["postselect_weight"], d["mode"] = postselect_weight, mode
 
     def to_dict(self) -> dict:
         return {
@@ -171,23 +183,97 @@ def rho_elements_oracle(state: CatState, a: Direction, b: Direction) -> Diagonal
     return DiagonalElements(lc, nlc)
 
 
-def _closed_parts(state: CatState, a: Direction, b: Direction) -> tuple[tuple, tuple]:
-    """rho_elements_closed's closed forms as (lc, nlc) 4-tuples of Python floats.
+def _axis(two_s: int, theta: float, phi: float) -> tuple[float, float, float]:
+    """One axis's factors in the closed forms: (K, G, phi) with
+    K = cos(theta/2)^(2s) and G = sin(theta/2)^(2s).
 
-    Not numpy: float64 array powers can differ from float ** int in the last bit.
+    Python floats, not numpy: float64 array powers can differ from
+    float ** int in the last bit.
     """
-    two_s = state.s.two_s
-    ka, ga = math.cos(a.theta / 2.0) ** two_s, math.sin(a.theta / 2.0) ** two_s
-    kb, gb = math.cos(b.theta / 2.0) ** two_s, math.sin(b.theta / 2.0) ** two_s
+    return math.cos(theta / 2.0) ** two_s, math.sin(theta / 2.0) ** two_s, phi
+
+
+def _elements(state: CatState, fa: tuple, fb: tuple) -> tuple[tuple, tuple]:
+    """rho_elements_closed's closed forms as (lc, nlc) 4-tuples, from the
+    _axis factors of a and b."""
+    ka, ga, phi_a = fa
+    kb, gb, phi_b = fb
     ka2, ga2, kb2, gb2 = ka * ka, ga * ga, kb * kb, gb * gb
     coeffs = state.coeffs
     w1, w2 = coeffs.weight1, coeffs.weight2
     lc = (w1 * ka2 * gb2 + w2 * ga2 * kb2, w1 * ka2 * kb2 + w2 * ga2 * gb2,
           w1 * ga2 * gb2 + w2 * ka2 * kb2, w1 * ga2 * kb2 + w2 * ka2 * gb2)
-    cross = (coeffs.interference * math.cos(two_s * (a.phi - b.phi) + coeffs.delta)
+    s = state.s
+    cross = (coeffs.interference * math.cos(s.two_s * (phi_a - phi_b) + coeffs.delta)
              * ka * ga * kb * gb)
-    flipped = state.s.parity * cross
+    flipped = s.parity * cross
     return lc, (cross, flipped, flipped, cross)
+
+
+def _closed_parts(state: CatState, a: Direction, b: Direction) -> tuple[tuple, tuple]:
+    """_elements for the axes a and b."""
+    two_s = state.s.two_s
+    return _elements(state, _axis(two_s, a.theta, a.phi), _axis(two_s, b.theta, b.phi))
+
+
+def _weight(lc: tuple, nlc: tuple) -> float:
+    """The conclusive weight, summed left to right as numpy sums a 4-vector:
+    equals DiagonalElements.weight."""
+    return (((lc[0] + lc[1]) + lc[2]) + lc[3]) + (((nlc[0] + nlc[1]) + nlc[2]) + nlc[3])
+
+
+def _split(lc: tuple, nlc: tuple, postselected: bool) -> tuple[float, float, float]:
+    """(p_lc, p_nlc, weight) of correlation, divided by the weight when
+    postselected; DegeneratePostselectionError below WEIGHT_TOL."""
+    # Fixed association (v1 - v2) + (v4 - v3) so equal-and-opposite pairs
+    # cancel to exactly 0.0 in floating point.
+    p_lc = (lc[0] - lc[1]) + (lc[3] - lc[2])
+    p_nlc = (nlc[0] - nlc[1]) + (nlc[3] - nlc[2])
+    weight = _weight(lc, nlc)
+    if postselected:
+        if weight < WEIGHT_TOL:
+            raise DegeneratePostselectionError(
+                f"conclusive weight {weight:.3e} below {WEIGHT_TOL:.0e}"
+            )
+        p_lc /= weight
+        p_nlc /= weight
+    return p_lc, p_nlc, weight
+
+
+def pair_kernel(state: CatState, part: str, mode: str,
+                joint: bool) -> tuple[Callable[[float, float], object],
+                                      Callable[[object, object], float]]:
+    """(prepare, pair) for the correlation, or the (+,+) joint when joint is set.
+
+    prepare(theta, phi) turns one canonical axis into its factors, and
+    pair(fa, fb) returns from two axes' factors the float that
+    lc_correlation_closed (part "lc") or correlation(...).p_total (part
+    "full"), or wigner_joint(..., +1, +1, part), returns for the same axes,
+    raising as they do.  A postselected "full" joint is divided by the
+    conclusive weight.  Factors computed once per axis serve every pair
+    it is in.
+    """
+    two_s = state.s.two_s
+    postselected = mode == "postselected"
+    if not joint and part == "lc":
+        def pair(xa, xb):
+            return -xa * xb
+        return partial(_lc_axis, two_s), pair
+    if not joint:
+        def pair(fa, fb):
+            p_lc, p_nlc, _ = _split(*_elements(state, fa, fb), postselected)
+            return p_lc + p_nlc
+    elif part == "lc":
+        def pair(fa, fb):
+            return _elements(state, fa, fb)[0][0]
+    else:
+        def pair(fa, fb):
+            lc, nlc = _elements(state, fa, fb)
+            p = lc[0] + nlc[0]
+            if postselected:
+                p /= _weight(lc, nlc)
+            return p
+    return partial(_axis, two_s), pair
 
 
 def rho_elements_closed(state: CatState, a: Direction, b: Direction) -> DiagonalElements:
@@ -232,19 +318,7 @@ def correlation(state: CatState, a: Direction, b: Direction,
     if mode not in ("raw", "postselected"):
         raise ValueError(f"mode must be 'raw' or 'postselected', got {mode!r}")
     lc, nlc = _closed_parts(state, a, b)
-    # Fixed association (v1 - v2) + (v4 - v3) so equal-and-opposite pairs
-    # cancel to exactly 0.0 in floating point.
-    p_lc = (lc[0] - lc[1]) + (lc[3] - lc[2])
-    p_nlc = (nlc[0] - nlc[1]) + (nlc[3] - nlc[2])
-    # Summed left to right as numpy sums a 4-vector: equals DiagonalElements.weight.
-    weight = (((lc[0] + lc[1]) + lc[2]) + lc[3]) + (((nlc[0] + nlc[1]) + nlc[2]) + nlc[3])
-    if mode == "postselected":
-        if weight < WEIGHT_TOL:
-            raise DegeneratePostselectionError(
-                f"conclusive weight {weight:.3e} below {WEIGHT_TOL:.0e}"
-            )
-        p_lc /= weight
-        p_nlc /= weight
+    p_lc, p_nlc, weight = _split(lc, nlc, mode == "postselected")
     return CorrelationBreakdown(p_lc + p_nlc, p_lc, p_nlc, weight, mode)
 
 
@@ -254,10 +328,13 @@ def lc_correlation_closed(s: SpinQuantum, a: Direction, b: Direction) -> float:
     Equals -(Ka^2 - Ga^2)(Kb^2 - Gb^2) with the same K, G shorthand as
     rho_elements_closed, i.e. -cos(theta_a) cos(theta_b) for s = 1/2.
     """
-    two_s = s.two_s
-    xa = math.cos(a.theta / 2.0) ** (2 * two_s) - math.sin(a.theta / 2.0) ** (2 * two_s)
-    xb = math.cos(b.theta / 2.0) ** (2 * two_s) - math.sin(b.theta / 2.0) ** (2 * two_s)
-    return -xa * xb
+    return -_lc_axis(s.two_s, a.theta) * _lc_axis(s.two_s, b.theta)
+
+
+def _lc_axis(two_s: int, theta: float, phi: float = 0.0) -> float:
+    """One axis's factor in lc_correlation_closed: K^2 - G^2 as
+    cos(theta/2)^(4s) - sin(theta/2)^(4s); phi does not enter."""
+    return math.cos(theta / 2.0) ** (2 * two_s) - math.sin(theta / 2.0) ** (2 * two_s)
 
 
 def nlc_correlation_closed(state: CatState, a: Direction, b: Direction) -> float:

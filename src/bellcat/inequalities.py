@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .correlations import (
     correlation,
     lc_correlation_closed,
+    pair_kernel,
     rho_elements_closed,
     wigner_joint,
 )
@@ -40,9 +42,16 @@ __all__ = [
     "INEQUALITIES",
     "inequality",
     "VIOLATION_TOL",
+    "SAMPLED_CACHE_LIMIT",
 ]
 
 VIOLATION_TOL = 1e-9
+
+# Most direction pairs a sampled_provider keeps estimates for; past it the
+# oldest pair is dropped.  Above the 625 pairs of a resolution-5 sweep, so a
+# sweep's report() still finds its pairs, while refine, which asks for a new
+# pair at nearly every evaluation, cannot grow the cache without bound.
+SAMPLED_CACHE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -52,11 +61,21 @@ class CorrelationProvider:
     provenance is one of "lc-only", "full", "sampled".  joint(a, b,
     sign_a, sign_b) is required by the Wigner check only and may be None
     for providers that cannot supply it.
+
+    axes is an optional per-axis kernel that lets the searches reuse work
+    shared by every pair an axis is in.  axes(joint) returns (prepare,
+    pair): prepare(theta, phi) turns one canonical axis (Direction's
+    angles) into factors, and pair(fa, fb) must return, bit for bit, the
+    float that correlation(a, b) returns, or joint(a, b, +1, +1) when
+    joint is set, for the Directions with those angles, and raise as it
+    does.  Without axes the searches use (Direction, the reader itself),
+    so a custom provider needs only correlation and joint.
     """
 
     provenance: str
     correlation: Callable[[Direction, Direction], float]
     joint: Optional[Callable[[Direction, Direction, int, int], float]] = None
+    axes: Optional[Callable[[bool], tuple[Callable, Callable]]] = None
 
 
 def lc_provider(state: CatState) -> CorrelationProvider:
@@ -70,7 +89,8 @@ def lc_provider(state: CatState) -> CorrelationProvider:
     def joint(a: Direction, b: Direction, sign_a: int, sign_b: int) -> float:
         return wigner_joint(state, a, b, sign_a, sign_b, part="lc")
 
-    return CorrelationProvider("lc-only", corr, joint)
+    return CorrelationProvider("lc-only", corr, joint,
+                               partial(pair_kernel, state, "lc", "raw"))
 
 
 def full_provider(state: CatState, mode: str = "raw") -> CorrelationProvider:
@@ -87,7 +107,7 @@ def full_provider(state: CatState, mode: str = "raw") -> CorrelationProvider:
             p /= rho_elements_closed(state, a, b).weight
         return p
 
-    return CorrelationProvider("full", corr, joint)
+    return CorrelationProvider("full", corr, joint, partial(pair_kernel, state, "full", mode))
 
 
 def sampled_provider(state: CatState, n: int, seed: int,
@@ -96,7 +116,9 @@ def sampled_provider(state: CatState, n: int, seed: int,
 
     Each pair gets its own deterministic substream derived from (seed, a,
     b), so estimates for different pairs are independent and a repeated
-    pair reproduces its first estimate exactly (results are cached).
+    pair reproduces its first estimate exactly.  Estimates are cached for
+    the SAMPLED_CACHE_LIMIT most recently added pairs; a pair dropped from
+    the cache is drawn again from the same substream, to the same estimate.
     """
     from . import rng
     from .sampling import sample_outcomes
@@ -109,6 +131,8 @@ def sampled_provider(state: CatState, n: int, seed: int,
         if hit is None:
             pair_seed = rng.derive(seed, *key)
             hit = sample_outcomes(state, a, b, n, pair_seed, postselect=postselect)
+            if len(cache) >= SAMPLED_CACHE_LIMIT:
+                del cache[next(iter(cache))]
             cache[key] = hit
         return hit
 
@@ -199,6 +223,14 @@ class Inequality:
         if joint is None:
             raise ValueError(f"provider {provider.provenance!r} supplies no joint probabilities")
         return lambda a, b: joint(a, b, +1, +1)
+
+    def kernel(self, provider: CorrelationProvider) -> tuple[Callable, Callable]:
+        """(prepare, pair) for the value this inequality reads: the provider's
+        axes kernel, or (Direction, reader) for a provider without one.  Either
+        way pair(prepare(*a_angles), prepare(*b_angles)) equals reader(a, b)."""
+        if provider.axes is None:
+            return Direction, self.reader(provider)
+        return provider.axes(self.joint)
 
     def margin(self, lhs, rhs):
         return lhs - rhs if self.lower else rhs - lhs

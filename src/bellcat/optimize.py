@@ -6,6 +6,13 @@ table, and local Nelder-Mead polish from the sweep winner or from seeded
 random multistarts.  The objective is smooth in the raw angles, so
 simplex refinement converges quickly once the sweep lands in the right
 basin.
+
+Both stages read pair values through the inequality's kernel
+(Inequality.kernel): each direction is prepared once, into factors for a
+provider with an axes kernel or into a Direction for any other, and each
+pair the inequality reads combines two prepared directions.  Every value
+equals the one check and objective_value compute from Directions, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .inequalities import CorrelationProvider, InequalityReport, check, evaluate, inequality
-from .spins import Direction
+from .spins import Direction, canonical_angles
 
 __all__ = [
     "AngleConfig",
@@ -104,6 +111,28 @@ def objective_value(provider: CorrelationProvider, kind: str,
     return spec.objective(lhs, rhs)
 
 
+def _flat_objective(provider: CorrelationProvider, kind: str,
+                    ) -> Callable[[np.ndarray], float]:
+    """objective_value as a function of the interleaved angles of one config.
+
+    Equals objective_value(provider, kind, AngleConfig.from_flat(x)) bit
+    for bit, errors included, for x of the kind's length; but each
+    direction is canonicalized and prepared once by the provider's kernel
+    (Inequality.kernel) instead of becoming a Direction per pair read.
+    """
+    spec = inequality(kind)
+    prepare, pair = spec.kernel(provider)
+    pairs, sides, objective = spec.pairs, spec.sides, spec.objective
+
+    def value(x: np.ndarray) -> float:
+        angles = x.tolist()
+        factors = [prepare(*canonical_angles(angles[k], angles[k + 1]))
+                   for k in range(0, len(angles), 2)]
+        return objective(*sides(*[pair(factors[i], factors[j]) for i, j in pairs]))
+
+    return value
+
+
 def _grid_directions(resolution: int) -> list[Direction]:
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
@@ -146,8 +175,9 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
     g = len(dirs)
     angles = [(d.theta, d.phi) for d in dirs]
 
-    pair = spec.reader(provider)
-    table = np.array([[pair(da, db) for db in dirs] for da in dirs], dtype=float)
+    prepare, pair = spec.kernel(provider)
+    factors = [prepare(d.theta, d.phi) for d in dirs]
+    table = np.array([[pair(fa, fb) for fb in factors] for fa in factors], dtype=float)
 
     # Block axes are directions 1..arity-1 with direction 0 fixed at ia.  A
     # pair (0, j) reads row ia of the table along axis j; a pair (i, j)
@@ -203,20 +233,20 @@ def _nelder_mead(f: Callable[[np.ndarray], float], sim: np.ndarray, fatol: float
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     n = sim.shape[1]
-    fsim = np.array([f(np.copy(x)) for x in sim], dtype=float)
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
+    fsim = np.array([f(x.copy()) for x in sim], dtype=float)
+    ind = fsim.argsort()
+    sim = sim.take(ind, 0)
+    fsim = fsim.take(ind, 0)
     iterations = 1
     while iterations < maxiter:
-        if np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+        if abs(fsim[0] - fsim[1:]).max() <= fatol:
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = f(np.copy(xr))
+        fxr = f(xr.copy())
         if fxr < fsim[0]:
             xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = f(np.copy(xe))
+            fxe = f(xe.copy())
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -226,24 +256,24 @@ def _nelder_mead(f: Callable[[np.ndarray], float], sim: np.ndarray, fatol: float
         else:
             if fxr < fsim[-1]:
                 xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = f(np.copy(xc))
+                fxc = f(xc.copy())
                 accept = fxc <= fxr
             else:
                 xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = f(np.copy(xc))
+                fxc = f(xc.copy())
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(np.copy(sim[j]))
+                    fsim[j] = f(sim[j].copy())
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
         callback()
-    return sim[0], np.min(fsim), iterations < maxiter
+    return sim[0], fsim.min(), iterations < maxiter
 
 
 def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
@@ -259,14 +289,19 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     entries, one per step; converged is False when max_iter is reached.
     With max_iter=1 only the start and the dim + 1 simplex vertices are
     evaluated, the trace is empty and converged is False.
+
+    The start is scored by objective_value; every simplex point is scored
+    on its flat angle vector by _flat_objective, which canonicalizes and
+    prepares each direction once and equals objective_value bit for bit.
     """
     start_value = objective_value(provider, kind, start)
     x0 = start.flat()
+    objective = _flat_objective(provider, kind)
     state = {"best": -math.inf, "evals": 1}
     trace: list[tuple[int, float]] = []
 
     def negated(x: np.ndarray) -> float:
-        value = objective_value(provider, kind, AngleConfig.from_flat(x))
+        value = objective(x)
         state["evals"] += 1
         if value > state["best"]:
             state["best"] = value

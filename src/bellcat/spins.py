@@ -11,12 +11,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "SpinQuantum",
     "Direction",
+    "canonical_angles",
     "DickeKet",
     "SpinMatrices",
     "SpinMoments",
@@ -79,7 +81,7 @@ class SpinQuantum:
     def is_integer(self) -> bool:
         return self.two_s % 2 == 0
 
-    @property
+    @cached_property
     def parity(self) -> int:
         """(-1)^(2s): +1 for integer spin, -1 for half-integer spin."""
         return 1 if self.two_s % 2 == 0 else -1
@@ -87,6 +89,28 @@ class SpinQuantum:
     def m_values(self) -> np.ndarray:
         """Magnetic quantum numbers in storage order: s, s-1, ..., -s."""
         return self.s - np.arange(self.dim, dtype=float)
+
+
+def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
+    """(theta, phi) as Python floats with theta in [0, pi] and phi in [0, 2*pi).
+
+    The canonicalization every Direction applies on construction, for
+    callers that need the angles without the object.  Raises ValueError
+    for a non-finite angle.
+    """
+    t = float(theta)
+    p = float(phi)
+    if not (math.isfinite(t) and math.isfinite(p)):
+        raise ValueError(f"angles must be finite, got ({theta}, {phi})")
+    t = t % (2.0 * math.pi)
+    if t > math.pi:
+        t = 2.0 * math.pi - t
+        p = p + math.pi
+    p = p % (2.0 * math.pi)
+    if p == 2.0 * math.pi:
+        # the remainder of a tiny negative p rounds up to 2*pi itself
+        p = 0.0
+    return t, p
 
 
 @dataclass(frozen=True)
@@ -101,21 +125,11 @@ class Direction:
     theta: float
     phi: float
 
-    def __post_init__(self) -> None:
-        t = float(self.theta)
-        p = float(self.phi)
-        if not (math.isfinite(t) and math.isfinite(p)):
-            raise ValueError(f"angles must be finite, got ({self.theta}, {self.phi})")
-        t = t % (2.0 * math.pi)
-        if t > math.pi:
-            t = 2.0 * math.pi - t
-            p = p + math.pi
-        p = p % (2.0 * math.pi)
-        if p == 2.0 * math.pi:
-            # the remainder of a tiny negative p rounds up to 2*pi itself
-            p = 0.0
-        object.__setattr__(self, "theta", t)
-        object.__setattr__(self, "phi", p)
+    def __init__(self, theta: float, phi: float) -> None:
+        # Filled directly: the generated frozen __init__ would set each field
+        # through object.__setattr__, once before canonicalizing and once after.
+        d = self.__dict__
+        d["theta"], d["phi"] = canonical_angles(theta, phi)
 
     def unit_vector(self) -> np.ndarray:
         """Cartesian components (sin t cos p, sin t sin p, cos t)."""

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from conftest import random_direction, random_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellcat import (
     CatCoefficients,
@@ -319,3 +321,26 @@ class TestUnrestricted:
     def test_normalization_validated(self):
         with pytest.raises(ValueError):
             unrestricted_correlation(singlet(SpinQuantum(1)), EQ, EQ, normalization="x")
+
+
+class TestCorrelationProperties:
+    angle = st.one_of(st.sampled_from([0.0, PI / 2, PI]), st.floats(-20.0, 20.0))
+    coefficient = st.one_of(st.sampled_from([0.0, PI / 4, -PI / 4, PI / 2]),
+                            st.floats(-10.0, 10.0))
+    cat = st.builds(CatState, st.sampled_from([1, 2, 3, 4, 5, 6, 59, 60, 61]).map(SpinQuantum),
+                    st.builds(CatCoefficients, coefficient, coefficient, coefficient))
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=cat, a=st.builds(Direction, angle, angle), b=st.builds(Direction, angle, angle))
+    def test_raw_total_is_bounded_and_parts_add_up(self, state, a, b):
+        raw = correlation(state, a, b)
+        # cos(alpha)^2 + sin(alpha)^2 can round to 1 + 2^-52 (alpha = 0.9426685608778058
+        # with both axes at the pole gives p_total = -1.0000000000000002), so the
+        # bound holds to a few ulps, not exactly.
+        assert abs(raw.p_total) <= 1.0 + 8 * 2.0**-52
+        assert raw.p_lc + raw.p_nlc == raw.p_total
+        try:
+            post = correlation(state, a, b, "postselected")
+        except DegeneratePostselectionError:
+            return
+        assert post.p_lc + post.p_nlc == post.p_total

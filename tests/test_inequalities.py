@@ -66,6 +66,51 @@ class TestProviders:
         assert p1.correlation(a, b) == p1.correlation(a, b)
         assert p1.correlation(a, b) != sampled_provider(st, 5000, 43).correlation(a, b)
 
+    def test_sampled_cache_is_capped_without_changing_estimates(self, monkeypatch):
+        import bellcat.inequalities as ineq
+        import bellcat.sampling as sampling
+        from bellcat import AngleConfig, refine
+
+        st = singlet(SpinQuantum(1))
+        start = AngleConfig((Direction(0.3, 0.1), Direction(1.2, 2.0),
+                             Direction(2.0, 4.0), Direction(2.6, 5.0)))
+        uncapped = refine(sampled_provider(st, 500, 3), "chsh", start, max_iter=25)
+
+        cap = 5
+        monkeypatch.setattr(ineq, "SAMPLED_CACHE_LIMIT", cap)
+        draws = []
+
+        def recording(state, a, b, *args, **kwargs):
+            draws.append((a.theta, a.phi, b.theta, b.phi))
+            return real(state, a, b, *args, **kwargs)
+
+        real = sampling.sample_outcomes
+        monkeypatch.setattr(sampling, "sample_outcomes", recording)
+        inner = sampled_provider(st, 500, 3)
+        asked = []
+
+        def corr(a, b):
+            asked.append((a.theta, a.phi, b.theta, b.phi))
+            return inner.correlation(a, b)
+
+        capped = refine(CorrelationProvider("sampled", corr, inner.joint), "chsh", start,
+                        max_iter=25)
+        assert capped.to_dict() == uncapped.to_dict()
+        assert len(set(asked)) > cap
+        # Replaying the requests through a first-in first-out cache of cap
+        # entries predicts exactly which requests drew samples.
+        model: dict = {}
+        expected = []
+        for key in asked:
+            if key not in model:
+                expected.append(key)
+                if len(model) >= cap:
+                    del model[next(iter(model))]
+                model[key] = True
+            assert len(model) <= cap
+        assert draws == expected
+        assert len(draws) < len(asked)
+
     def test_sampled_joint_sums_to_conclusive_fraction(self):
         st = singlet(SpinQuantum(2))
         p = sampled_provider(st, 4000, 9)

@@ -4,27 +4,37 @@ The reference below is the array form of the closed-form diagonal
 elements and of correlation, as the library computed them before its
 scalar path moved to plain Python floats.  Every scalar reader must
 reproduce it exactly, including the sign of zeros and which inputs raise.
+The searches' kernels, the flat-angle objective and each provider's
+(prepare, pair), must in turn reproduce the Direction-based readers.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellcat import (
+    INEQUALITIES,
+    AngleConfig,
     CatCoefficients,
     CatState,
+    CorrelationProvider,
     DegeneratePostselectionError,
     Direction,
     SpinQuantum,
     correlation,
     full_provider,
+    lc_provider,
     nlc_correlation_closed,
+    objective_value,
     rho_elements_closed,
+    sampled_provider,
     wigner_joint,
 )
 from bellcat.correlations import WEIGHT_TOL
+from bellcat.optimize import _flat_objective
 
 SIGNS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
@@ -181,3 +191,78 @@ def test_integer_spin_interference_part_is_exactly_zero(two_s, coeffs, a, b):
     postselected = outcome(correlation, cat, a, b, "postselected")
     if not isinstance(postselected, tuple):
         assert postselected.p_nlc == 0.0
+
+
+PROVIDERS = {
+    "raw": lambda cat: full_provider(cat),
+    "postselected": lambda cat: full_provider(cat, "postselected"),
+    "lc": lc_provider,
+    "sampled": lambda cat: sampled_provider(cat, 40, 5),
+}
+# Poles, theta outside [0, pi], negative and tiny negative phi, signed zeros,
+# subnormals; the flat objective also sees non-finite angles.
+raw_angle = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, -math.pi, 1.5 * math.pi,
+                     2 * math.pi, -1e-20, 5e-324, -5e-324, 7.0, -2.5]),
+    st.floats(-20.0, 20.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+flat_angle = st.one_of(raw_angle, st.sampled_from([math.inf, -math.inf, math.nan]))
+# a = (pi/2, 0), b = (pi/2, pi/2) at 2s = 2, alpha = pi/4: conclusive weight 0.0
+DEGENERATE = CatState(SpinQuantum(2), CatCoefficients(math.pi / 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(state=state, kind=st.sampled_from(sorted(INEQUALITIES)),
+       label=st.sampled_from(sorted(PROVIDERS)),
+       angles=st.lists(flat_angle, min_size=8, max_size=8))
+@example(state=DEGENERATE, kind="bell", label="postselected",
+         angles=[math.pi / 2, 0.0, math.pi / 2, math.pi / 2, 0.3, 0.2] + [0.0] * 2)
+@example(state=DEGENERATE, kind="wigner", label="postselected",
+         angles=[0.3, 0.2, math.pi / 2, 0.0, math.pi / 2, math.pi / 2] + [0.0] * 2)
+def test_flat_objective_matches_objective_value(state, kind, label, angles):
+    x = np.array(angles[:2 * INEQUALITIES[kind].arity])
+    want = outcome(lambda: objective_value(PROVIDERS[label](state), kind,
+                                           AngleConfig.from_flat(x.copy())))
+    got = outcome(_flat_objective(PROVIDERS[label](state), kind), x.copy())
+    assert same(got, want), (got, want)
+
+
+@kernel
+@given(state=state, label=st.sampled_from(sorted(PROVIDERS)),
+       a=st.builds(Direction, raw_angle, raw_angle), b=st.builds(Direction, raw_angle, raw_angle))
+@example(state=DEGENERATE, label="postselected",
+         a=Direction(math.pi / 2, 0.0), b=Direction(math.pi / 2, math.pi / 2))
+def test_kernel_pair_matches_reader(state, label, a, b):
+    provider = PROVIDERS[label](state)
+    for joint in (False, True):
+        spec = next(spec for spec in INEQUALITIES.values() if spec.joint == joint)
+        prepare, pair = spec.kernel(provider)
+        got = outcome(lambda: pair(prepare(a.theta, a.phi), prepare(b.theta, b.phi)))
+        want = outcome(spec.reader(provider), a, b)
+        assert same(got, want), (joint, got, want)
+
+
+def test_degenerate_weight_raises_as_before():
+    a, b = Direction(math.pi / 2, 0.0), Direction(math.pi / 2, math.pi / 2)
+    provider = full_provider(DEGENERATE, "postselected")
+    for joint, error in ((False, DegeneratePostselectionError), (True, ZeroDivisionError)):
+        spec = next(spec for spec in INEQUALITIES.values() if spec.joint == joint)
+        prepare, pair = spec.kernel(provider)
+        with pytest.raises(error):
+            spec.reader(provider)(a, b)
+        with pytest.raises(error):
+            pair(prepare(a.theta, a.phi), prepare(b.theta, b.phi))
+
+
+def test_providers_without_kernel_fall_back_to_the_reader():
+    cat = CatState(SpinQuantum(1), CatCoefficients(math.pi / 4))
+    full = full_provider(cat)
+    a, b = Direction(0.1, 0.2), Direction(0.3, 0.4)
+    for provider in (sampled_provider(cat, 40, 5),
+                     CorrelationProvider("full", full.correlation, full.joint)):
+        assert provider.axes is None
+        for spec in INEQUALITIES.values():
+            prepare, pair = spec.kernel(provider)
+            assert prepare is Direction
+            assert pair(a, b) == spec.reader(provider)(a, b)

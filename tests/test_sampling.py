@@ -1,6 +1,7 @@
 """Deterministic uniforms and Monte Carlo measurement sampling."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -78,6 +79,23 @@ class TestRng:
         assert a == rng.derive(1, 0.5, 0.25)
         assert a != rng.derive(1, 0.25, 0.5)
         assert a != rng.derive(2, 0.5, 0.25)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           pair=st.lists(st.tuples(*[st.one_of(
+               st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                math.pi, 2 * math.pi]),
+               st.floats(allow_nan=False)) for _ in range(4)]),
+               min_size=2, max_size=2, unique_by=lambda t: struct.pack("<4d", *t)))
+    def test_derive_separates_distinct_angle_tuples(self, seed, pair):
+        # distinct by IEEE-754 bits, so 0.0 and -0.0 are different labels
+        first, second = pair
+        assert rng.derive(seed, *first) != rng.derive(seed, *second)
+        assert rng.derive(seed, *first) == rng.derive(seed, *first)
+        for i in range(4):
+            if first[i] == 0.0:
+                flipped = first[:i] + (-first[i],) + first[i + 1:]
+                assert rng.derive(seed, *flipped) != rng.derive(seed, *first)
 
 
 class TestOutcomeProbabilities:
