@@ -21,25 +21,30 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # SplitMix64 finalizer; uint64 arithmetic wraps mod 2^64 by construction.
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
-
-
 def integers(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Raw 64-bit words number `start` through `start + count - 1` of the stream.
 
     The stream is indexed, not stateful: word i is mix(seed + (i+1)*golden),
-    so disjoint index ranges can be drawn in any order or in parallel.
+    so disjoint index ranges can be drawn in any order or in parallel.  The
+    SplitMix64 finalizer runs in place on the returned array with one
+    scratch buffer for the shifts; every call returns a fresh array.
+    Sampling counts these words against integer thresholds, which gives
+    the counts an inverse-CDF lookup of `uniforms` would.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    shifted = np.empty_like(z)
+    # uint64 arithmetic wraps mod 2^64 by construction
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & _MASK) + idx * _GOLDEN
-        return _mix(z)
+        z *= _GOLDEN
+        z += np.uint64(seed & _MASK)
+        z ^= np.right_shift(z, 30, out=shifted)
+        z *= _MIX1
+        z ^= np.right_shift(z, 27, out=shifted)
+        z *= _MIX2
+        z ^= np.right_shift(z, 31, out=shifted)
+    return z
 
 
 def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:

@@ -3,9 +3,11 @@
 Each run draws one of five categories per shot: the four conclusive
 outcome pairs in basis order, then "inconclusive" for the probability mass
 the extremal-outcome postselection discards (absent for s = 1/2, where
-every outcome is extremal).  Draws are inverse-CDF lookups against the
-deterministic uniform stream, so a (state, angles, n, seed) tuple fixes
-the counts exactly.
+every outcome is extremal).  Each shot takes one raw word of the
+deterministic SplitMix64 stream; the words are counted against four
+integer thresholds, one per CDF entry, which gives exactly the counts of
+an inverse-CDF lookup of the word's uniform (rng.uniforms).  A (state,
+angles, n, seed) tuple fixes the counts exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ PROB_SNAP = 1e-14
 
 _NEG_TOL = 1e-12
 
-# Shots drawn per block: the draw's temporaries stay a few MB whatever n is.
+# Shots drawn per block: the words and their scratch buffer stay about 1 MB
+# whatever n is.
 _BLOCK = 1 << 16
 
 
@@ -137,11 +140,24 @@ def _draw_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
     if probs[4] == 0.0:
         # no inconclusive mass: make the last bin swallow CDF rounding slack
         cdf[3] = 1.0
-    counts = np.zeros(5, dtype=np.int64)
+    # Shots are counted, not categorized: word w's uniform (w >> 11) * 2**-53
+    # lies below a cdf entry c exactly when w < ceil(c * 2**53) << 11, since
+    # scaling by a power of two is exact; a limit of 2**53 or more takes
+    # every word (its shifted form would not fit in 64 bits).  The shots
+    # below entry k are the ones searchsorted(cdf, u, side="right") puts in
+    # categories 0..k, also when the pinned last entry sits under an entry
+    # rounded above 1 (no uniform reaches 1), so the counts are the
+    # differences of the four running totals.
+    limits = [math.ceil(c * 2.0**53) for c in cdf.tolist()]
+    below = [n if limit >= 1 << 53 else 0 for limit in limits]
+    thresholds = [(k, np.uint64(limit << 11)) for k, limit in enumerate(limits)
+                  if 0 < limit < 1 << 53]
     for start in range(0, n, _BLOCK):
-        u = rng.uniforms(seed, min(_BLOCK, n - start), start)
-        counts += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=5)
-    return counts
+        words = rng.integers(seed, min(_BLOCK, n - start), start)
+        for k, threshold in thresholds:
+            below[k] += np.count_nonzero(words < threshold)
+    edges = np.array([0, *below, n], dtype=np.int64)
+    return edges[1:] - edges[:-1]
 
 
 def _stats_from_counts(counts: np.ndarray, n: int, seed: int,

@@ -35,13 +35,60 @@ EQ = Direction(PI / 2, 0.0)
 _MASK = (1 << 64) - 1
 
 
-def reference_uniform(seed: int, index: int) -> float:
+def reference_word(seed: int, index: int) -> int:
     """Independent pure-integer SplitMix64, used to pin the stream."""
     z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    z = z ^ (z >> 31)
-    return (z >> 11) * 2.0 ** -53
+    return z ^ (z >> 31)
+
+
+def reference_uniform(seed: int, index: int) -> float:
+    return (reference_word(seed, index) >> 11) * 2.0 ** -53
+
+
+@st.composite
+def draw_cases(draw):
+    """(probs, n, seed, block) for _draw_counts, with cdfs built to hit its edges.
+
+    Each cdf entry is a uniform the draw itself produces or one of its two
+    float neighbours, a repeat of another entry (a zero-probability
+    category), 1.0 or the float above it, or any float in [0, 1].  n is 1,
+    on either side of a block edge, or anywhere in four blocks.
+    """
+    block = draw(st.sampled_from([1, 7, 64, sampling._BLOCK]))
+    edge = max(1, draw(st.integers(0, 3)) * block + draw(st.integers(-1, 1)))
+    n = draw(st.one_of(st.just(1), st.just(edge), st.integers(1, 4 * block)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    u = rng.uniforms(seed, n)
+    targets = []
+    for _ in range(4):
+        kind = draw(st.sampled_from(["uniform", "repeat", "one", "float"]))
+        if kind == "uniform":
+            x = float(u[draw(st.integers(0, n - 1))])
+            x = draw(st.sampled_from([math.nextafter(x, -1.0), x, math.nextafter(x, 2.0)]))
+        elif kind == "repeat":
+            x = targets[-1] if targets else 0.0
+        elif kind == "one":
+            x = draw(st.sampled_from([1.0, math.nextafter(1.0, 2.0)]))
+        else:
+            x = draw(st.floats(0.0, 1.0))
+        targets.append(max(x, 0.0))
+    targets.sort()
+    # cumsum lands on each target exactly wherever float addition can reach
+    # it; where ties to even skip it, the entry lands one ulp away
+    probs, total = [], 0.0
+    for x in targets:
+        d = x - total
+        p = next((p for p in (d, math.nextafter(d, -1.0), math.nextafter(d, 2.0))
+                  if p >= 0.0 and total + p == x), d)
+        probs.append(p)
+        total += p
+    # a zero inconclusive entry pins the last bin to 1.0, as for 2s = 1
+    pinned = draw(st.booleans())
+    probs.append(0.0 if pinned else max(1.0 - total, 5e-324))
+    probs = np.array(probs)
+    return probs, n, seed, block
 
 
 class TestRng:
@@ -58,6 +105,21 @@ class TestRng:
             got = rng.uniforms(seed, 40)
             want = [reference_uniform(seed, i) for i in range(40)]
             assert got.tolist() == want
+
+    def test_words_match_pure_integer_reference(self):
+        for seed in (0, -5, 2**63 - 1, 2**64 - 1):
+            for start in (0, 3, 2**32 + 7):
+                for count in (0, 1, 70_000):  # 70,000 spans more than one draw block
+                    got = rng.integers(seed, count, start)
+                    assert got.dtype == np.uint64
+                    want = [reference_word(seed, start + i) for i in range(count)]
+                    assert got.tolist() == want
+
+    def test_word_arrays_are_fresh(self):
+        first = rng.integers(3, 1000)
+        second = rng.integers(3, 1000)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
 
     def test_range_and_determinism(self):
         u = rng.uniforms(99, 10000)
@@ -251,6 +313,32 @@ class TestSampleOutcomes:
         # three full blocks and a partial one
         monkeypatch.setattr(sampling, "_BLOCK", 1000)
         assert sample_outcomes(st, a, b, n, seed).counts == one_shot
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=draw_cases())
+    def test_counted_draws_match_searchsorted(self, case):
+        probs, n, seed, block = case
+        cdf = np.cumsum(probs[:4])
+        if probs[4] == 0.0:
+            cdf[3] = 1.0
+        cats = np.searchsorted(cdf, rng.uniforms(seed, n), side="right")
+        one_shot = np.bincount(cats, minlength=5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_BLOCK", block)
+            counts = sampling._draw_counts(probs, n, seed)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == one_shot.tolist()
+
+    @pytest.mark.parametrize("two_s, counts", [
+        (1, {"++": 1582084, "+-": 975580, "-+": 363837, "--": 78499, "inconclusive": 0}),
+        (3, {"++": 578044, "+-": 72807, "-+": 399, "--": 28061, "inconclusive": 2320689}),
+    ])
+    def test_golden_counts_for_large_draw(self, two_s, counts):
+        # fixed values: a change to how shots are drawn must reproduce them
+        st = CatState(SpinQuantum(two_s), CatCoefficients(0.2, 0.1, 0.2))
+        stats = sample_outcomes(st, Direction(0.7, 0.1), Direction(1.9, 2.2),
+                                3_000_000, 2**63 + 5)
+        assert stats.counts == counts
 
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
