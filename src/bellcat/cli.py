@@ -25,6 +25,8 @@ import math
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .correlations import correlation
 from .inequalities import (INEQUALITIES, CorrelationProvider, check, full_provider,
@@ -204,39 +206,52 @@ def _angle_columns(arity: int) -> list[str]:
     return [f"{angle}_{x}" for x in "abcd"[:arity] for angle in ("theta", "phi")]
 
 
-class _AngleText(dict):
-    """repr of each sweep grid angle, made once: every row repeats them.
+def _sweep_pieces(fmt: str, kind: str, payload: dict, kept: list):
+    """The sweep artifact, one piece per block that grid_sweep gave its sink.
 
-    Grid angles are canonical Direction angles, finite and never -0.0, so
-    keying on the float is exact, and repr is also their JSON text.
+    kept holds the sink's (block, angles) calls in order.  The pieces join
+    to the per-row layout: the header, then _csv_line((kind, *row_angles,
+    value)) per row; or json.dumps({"result": payload, "rows": [[*row_angles,
+    value], ...]}, indent=2).  The text of each grid direction, of each
+    combination of the trailing directions and of each distinct value in a
+    block is made once.  Values are keyed by their IEEE bits, so 0.0 and
+    -0.0 keep their own text; grid angles are finite, so repr is also
+    their JSON text.
     """
+    if fmt == "csv":
+        opening = _csv_line(["kind", *_angle_columns(INEQUALITIES[kind].arity), "value"]) + "\n"
+        lead, sep, tail, between, closing = kind + ",", ",", "", "\n", "\n"
+    else:
+        opening = json.dumps({"result": payload, "rows": []}, indent=2)[:-len("[]\n}")] + "[\n"
+        lead, sep, tail = "    [\n      ", ",\n      ", "\n    ]"
+        between, closing = ",\n", "\n  ]\n}\n"
+    directions = [sep.join(map(repr, pair)) for pair in kept[0][1]]
+    # the text of the trailing directions of each row, one per block axis
+    rest = [sep + sep.join(dirs) + sep
+            for dirs in itertools.product(directions, repeat=kept[0][0].ndim)]
+    yield opening
+    for ia, (block, _) in enumerate(kept):
+        bits, which = np.unique(block.ravel().view(np.int64), return_inverse=True)
+        values = [(repr(v) if fmt == "csv" or math.isfinite(v) else json.dumps(v)) + tail
+                  for v in bits.view(np.float64).tolist()]
+        # Row k is parts[3k:3k+3]: separator and lead, the trailing
+        # directions, the value (the file's first row has no separator).
+        # The block's text is one join of existing strings, none per row.
+        parts = [between + lead + directions[ia]] * (3 * len(rest))
+        parts[0] = parts[0] if ia else parts[0][len(between):]
+        parts[1::3] = rest
+        parts[2::3] = map(values.__getitem__, which.tolist())
+        yield "".join(parts)
+    yield closing
 
-    def __missing__(self, angle: float) -> str:
-        text = self[angle] = repr(angle)
-        return text
 
-
-def _sweep_json(payload: dict, rows: list) -> str:
-    """json.dumps({"result": payload, "rows": [[*angles, value], ...]}, indent=2).
-
-    The rows are laid out here, with each angle's text made once, because
-    json.dumps formats every float in Python when it indents.
-    """
-    text = _AngleText()
-    head = json.dumps({"result": payload, "rows": []}, indent=2)
-    body = ",\n".join(
-        "    [\n      " + ",\n      ".join(map(text.__getitem__, angles)) + ",\n      "
-        + (repr(value) if math.isfinite(value) else json.dumps(value)) + "\n    ]"
-        for angles, value in rows)
-    return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}"
-
-
-def _emit(args, cfg: dict, payload: dict, header=None, rows=(), artifact=None) -> None:
+def _emit(args, cfg: dict, payload: dict, header=None, rows=(), pieces=None) -> None:
     """Print payload as JSON, then write the --output artifact if one is asked for.
 
-    The JSON artifact is payload's, or the text artifact() returns.  The
-    CSV artifact is the header line then one line per row; a command that
-    passes no header calls _refuse_csv before any work.
+    The artifact is written piece by piece from pieces(fmt) when given;
+    otherwise the JSON artifact is payload's, and the CSV artifact is the
+    header line then one line per row.  A command that passes neither
+    pieces nor a header calls _refuse_csv before any work.
     """
     print(json.dumps(payload, indent=2))
     path = _pick(args, cfg, "output", "output", "path")
@@ -244,10 +259,12 @@ def _emit(args, cfg: dict, payload: dict, header=None, rows=(), artifact=None) -
         return
     fmt = _pick(args, cfg, "format", "output", "format", default="json")
     with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "csv":
-            fh.writelines(_csv_line(row) + "\n" for row in itertools.chain([header], rows))
+        if pieces is not None:
+            fh.writelines(pieces(fmt))
+        elif fmt == "csv":
+            fh.writelines(_csv_line(row) + "\n" for row in (header, *rows))
         else:
-            fh.write((json.dumps(payload, indent=2) if artifact is None else artifact()) + "\n")
+            fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _refuse_csv(args, cfg: dict) -> None:
@@ -286,15 +303,12 @@ def _cmd_sweep(args, cfg: dict) -> int:
     resolution = _pick(args, cfg, "resolution", "sweep", "resolution",
                        required="sweep requires --resolution")
     provider = _provider_from(args, cfg, state)
-    rows: list[tuple[tuple[float, ...], float]] = []
+    kept: list = []
     path = _pick(args, cfg, "output", "output", "path")
     result = grid_sweep(provider, kind, resolution,
-                        sink=(lambda ang, val: rows.append((ang, val))) if path else None)
+                        sink=(lambda *block_angles: kept.append(block_angles)) if path else None)
     payload = {**result.to_dict(), "provenance": provider.provenance}
-    text = _AngleText()
-    _emit(args, cfg, payload, ["kind", *_angle_columns(INEQUALITIES[kind].arity), "value"],
-          ((kind, ",".join(map(text.__getitem__, ang)), val) for ang, val in rows),
-          artifact=lambda: _sweep_json(payload, rows))
+    _emit(args, cfg, payload, pieces=lambda fmt: _sweep_pieces(fmt, kind, payload, kept))
     return 0
 
 

@@ -12,7 +12,9 @@ Both stages read pair values through the inequality's kernel
 provider with an axes kernel or into a Direction for any other, and each
 pair the inequality reads combines two prepared directions.  Every value
 equals the one check and objective_value compute from Directions, bit for
-bit.
+bit.  The sweep hands its rows out as one float64 block per grid point of
+the first direction (grid_sweep's sink), never as a Python object per
+row, so a caller that keeps every row holds 8 B per row.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def _grid_directions(resolution: int) -> list[Direction]:
 
 
 def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
-               sink: Optional[Callable[[tuple[float, ...], float], None]] = None,
+               sink: Optional[Callable[[np.ndarray, list[tuple[float, float]]], None]] = None,
                ) -> OptimizationResult:
     """Exhaustive sweep over a (theta, phi) product grid per direction.
 
@@ -156,8 +158,13 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
     every row equals objective_value.  The winner is the lexicographically
     first maximizing combination.
 
-    sink, if given, receives every evaluated row as
-    (interleaved angles tuple, objective value) in lexicographic order.
+    sink, if given, is called once per grid index ia of the first
+    direction, in order, as sink(block, angles).  block is the float64
+    array of shape (g,) * (arity - 1), g grid directions per axis, whose
+    element [j, k, ...] is the objective of directions (ia, j, k, ...);
+    angles lists the g grid directions' canonical (theta, phi) pairs.  The
+    blocks in call order, each in C index order, are every row in
+    lexicographic order, and a caller that keeps them holds 8 B per row.
 
     Raises
     ------
@@ -200,12 +207,7 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
             best_val = val
             best_idx = (ia, *np.unravel_index(flat_pos, block.shape))
         if sink is not None:
-            prefix = angles[ia]
-            for rest, value in np.ndenumerate(block):
-                parts = prefix
-                for k in rest:
-                    parts = parts + angles[k]
-                sink(parts, float(value))
+            sink(block, angles)
 
     config = AngleConfig(tuple(dirs[i] for i in best_idx))
     return OptimizationResult(kind, config, best_val, g ** spec.arity, True, None)

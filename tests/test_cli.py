@@ -2,15 +2,20 @@
 
 import json
 import math
+import struct
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bellcat import (CATEGORIES, CatCoefficients, CatState, CorrelationBreakdown, Direction,
-                     InequalityReport, SampleStats, SpinQuantum, check, correlation,
+from bellcat import (CATEGORIES, INEQUALITIES, CatCoefficients, CatState, CorrelationBreakdown,
+                     Direction, InequalityReport, SampleStats, SpinQuantum, check, correlation,
                      full_provider, grid_sweep, sample_outcomes, singlet)
-from bellcat.cli import main
+from bellcat.cli import _csv_line, _sweep_pieces, main
 
 PI = math.pi
 
@@ -358,8 +363,14 @@ class TestSweep:
                         "--format", fmt)
         assert code == 0
         rows = []
-        grid_sweep(full_provider(state, mode), kind, 3,
-                   sink=lambda ang, val: rows.append([*ang, val]))
+
+        def expand(block, angles):
+            # the block of one first direction, as rows [*angles, value]
+            ia = len(rows) // block.size
+            for rest in np.ndindex(block.shape):
+                rows.append([v for i in (ia, *rest) for v in angles[i]] + [float(block[rest])])
+
+        grid_sweep(full_provider(state, mode), kind, 3, sink=expand)
         if fmt == "csv":
             arity = len(rows[0]) // 2
             header = "kind," + ",".join(f"theta_{x},phi_{x}" for x in "abcd"[:arity])
@@ -369,10 +380,19 @@ class TestSweep:
             expected = json.dumps({"result": json.loads(out), "rows": rows}, indent=2) + "\n"
         assert target.read_text() == expected
 
-    def test_budget_guard_is_domain_error(self, capsys):
-        code, _ = run(capsys, "sweep", "--kind", "chsh", "--two-s", "1",
-                      "--resolution", "11")
-        assert code == 3
+    def test_budget_guard_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        # refused before any work: no grid, nothing on stdout, no artifact
+        monkeypatch.setattr("bellcat.optimize._grid_directions", no_grid)
+        target = tmp_path / "rows.csv"
+        code = main(["sweep", "--kind", "chsh", "--two-s", "1", "--resolution", "11",
+                     "--output", str(target), "--format", "csv"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("domain error: resolution 11")
+        assert not target.exists()
 
     def test_requires_resolution(self, capsys):
         code, _ = run(capsys, "sweep", "--kind", "bell", "--two-s", "1")
@@ -385,6 +405,92 @@ class TestSweep:
         assert json.loads(out)["best_value"] == pytest.approx(
             2 * math.sqrt(2), abs=1e-9
         )
+
+
+# Values a sweep artifact must spell exactly: both zeros, NaNs with a sign
+# or a payload, both infinities, subnormals and ordinary values.
+SPECIAL_VALUES = [0.0, -0.0, math.nan, -math.nan,
+                  struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0],
+                  math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.0, -2.5]
+
+
+@st.composite
+def sweep_blocks(draw):
+    """(kind, grid angles, blocks) as grid_sweep's sink receives them, with
+    values drawn from a small pool so that blocks repeat values."""
+    kind = draw(st.sampled_from(list(INEQUALITIES)))
+    arity = INEQUALITIES[kind].arity
+    g = draw(st.sampled_from([1, 4]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    angles = draw(st.lists(st.tuples(finite, finite), min_size=g, max_size=g))
+    specials = draw(st.permutations(SPECIAL_VALUES))[:draw(st.integers(1, len(SPECIAL_VALUES)))]
+    pool = specials + draw(st.lists(st.floats(), max_size=3))
+    n = g ** (arity - 1)
+    blocks = [np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                       dtype=np.float64).reshape((g,) * (arity - 1)) for _ in range(g)]
+    if draw(st.booleans()):
+        blocks = [np.asfortranarray(block) for block in blocks]
+    return kind, angles, blocks
+
+
+class TestSweepExport:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_blocks(), st.sampled_from(["csv", "json"]))
+    @example(("bell", [(0.0, 0.0)], [np.array([[-0.0]])]), "csv")
+    @example(("chsh", [(0.0, 0.0), (1.5, 3.0), (0.5, 0.25), (3.0, 6.0)],
+              [np.array([0.0, -0.0, math.nan, -math.inf] * 16).reshape(4, 4, 4)] * 4), "json")
+    def test_block_text_equals_per_row_layout(self, case, fmt):
+        kind, angles, blocks = case
+        arity = INEQUALITIES[kind].arity
+        payload = {"kind": kind, "best_value": 1.5, "evaluations": len(angles) ** arity}
+        rows = [[*(v for i in (ia, *rest) for v in angles[i]), float(block[rest])]
+                for ia, block in enumerate(blocks) for rest in np.ndindex(block.shape)]
+        if fmt == "csv":
+            header = "kind," + ",".join(f"theta_{x},phi_{x}" for x in "abcd"[:arity]) + ",value"
+            expected = "".join(line + "\n" for line in
+                               [header] + [_csv_line((kind, *row)) for row in rows])
+        else:
+            expected = json.dumps({"result": payload, "rows": rows}, indent=2) + "\n"
+        pieces = list(_sweep_pieces(fmt, kind, payload, [(b, angles) for b in blocks]))
+        # compared line by line: pytest's diff of two long strings is slow
+        assert "".join(pieces).split("\n") == expected.split("\n")
+        # the opening, one piece per block, the closing
+        assert len(pieces) == 2 + len(blocks)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_output_prints_the_payload_then_exits_4(self, capsys, tmp_path, fmt):
+        target = tmp_path / "missing" / f"rows.{fmt}"
+        code = main(["sweep", "--kind", "chsh", "--two-s", "1", "--resolution", "2",
+                     "--output", str(target), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["evaluations"] == 4 ** 4
+        assert captured.err.startswith("I/O error: ")
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_export_memory_is_bounded(self, capsys, tmp_path, fmt):
+        # resolution 4 gives 16 grid directions: chsh has 16^4 rows, in 16
+        # blocks of 16^3.  A row is 9 numbers, each at most 24 characters.
+        rows, block_rows = 16 ** 4, 16 ** 3
+        row_chars = {"csv": len("chsh,") + 9 * 24 + 9,
+                     "json": len("    [\n      ") + 9 * 24 + 8 * len(",\n      ")
+                     + len("\n    ],\n")}[fmt]
+        # The blocks at 8 B per row; three texts no larger than one block's
+        # (the block's text, its encoded bytes and the text of the trailing
+        # directions); 1 MB for what does not grow with the grid.
+        bound = 8 * rows + 3 * block_rows * row_chars + 2 ** 20
+        argv = ["sweep", "--kind", "chsh", "--two-s", "3", "--alpha", "0.3", "--gamma1", "-1.1",
+                "--resolution", "4", "--output", str(tmp_path / f"rows.{fmt}"), "--format", fmt]
+        assert main(argv) == 0  # first-call caches are not the export's memory
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < bound, f"peak {peak} B, bound {bound} B"
 
 
 class TestOptimize:

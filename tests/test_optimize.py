@@ -116,9 +116,23 @@ class TestGridSweep:
     def test_sink_streams_every_combination(self):
         p = full_half()
         for kind, spec in INEQUALITIES.items():
-            rows = []
-            result = grid_sweep(p, kind, 3, sink=lambda ang, v: rows.append((ang, v)))
-            # resolution 3 gives 9 grid directions, 9^arity combinations
+            calls = []
+            result = grid_sweep(p, kind, 3, sink=lambda *block_angles: calls.append(block_angles))
+            # resolution 3 gives 9 grid directions: one block per first
+            # direction, holding the 9^(arity - 1) combinations of the rest
+            grid = calls[0][1]
+            assert len(calls) == len(grid) == 9
+            assert all(angles is grid for _, angles in calls)
+            assert all(block.shape == (9,) * (spec.arity - 1) and block.dtype == np.float64
+                       for block, _ in calls)
+            # element rest of the ia-th block is the row of grid directions
+            # (ia, *rest), so expanding the blocks in call order, then in C
+            # index order, lists the rows lexicographically; the values are
+            # checked against objective_value row by row below
+            indices = [(ia, *rest) for ia, (block, _) in enumerate(calls)
+                       for rest in np.ndindex(block.shape)]
+            rows = [(tuple(v for i in index for v in grid[i]), float(calls[index[0]][0][index[1:]]))
+                    for index in indices]
             assert len(rows) == 9 ** spec.arity
             assert result.evaluations == 9 ** spec.arity
             assert all(len(ang) == 2 * spec.arity for ang, _ in rows)
