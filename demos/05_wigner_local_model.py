@@ -26,7 +26,7 @@ def axis():
 half = bc.lc_provider(bc.singlet(bc.SpinQuantum(1)))
 worst = -1.0
 for _ in range(20_000):
-    r = bc.wigner_check(half, axis(), axis(), axis())
+    r = bc.check(half, "wigner", axis(), axis(), axis())
     worst = max(worst, r.lhs - r.rhs)
 print("spin-1/2 local part, 20000 random axis triples:")
 print(f"  max (lhs - rhs) = {worst:.6f}  (never positive, bound holds)")
@@ -36,7 +36,7 @@ one = bc.lc_provider(bc.singlet(bc.SpinQuantum(2)))
 a = bc.Direction(math.pi / 2, 0.0)
 b = bc.Direction(0.0, 0.0)
 c = bc.Direction(math.pi, 0.0)
-r = bc.wigner_check(one, a, b, c)
+r = bc.check(one, "wigner", a, b, c)
 print("spin-1 local part at a = equator, b = north pole, c = south pole:")
 print(f"  J(b,c) = {r.lhs}")
 print(f"  J(a,b) + J(a,c) = {r.rhs}")

@@ -18,10 +18,7 @@ from .correlations import (
     InternalConsistencyError,
     correlation,
     lc_correlation_closed,
-    nlc_correlation_closed,
-    outcome_basis,
     rho_elements_closed,
-    rho_elements_oracle,
     unrestricted_correlation,
     wigner_joint,
 )
@@ -29,14 +26,10 @@ from .inequalities import (
     INEQUALITIES,
     CorrelationProvider,
     InequalityReport,
-    bell_check,
     check,
-    chsh_check,
     full_provider,
     lc_provider,
-    quadratic_check,
     sampled_provider,
-    wigner_check,
 )
 from .optimize import (
     AngleConfig,
@@ -63,25 +56,15 @@ from .spins import (
     DickeKet,
     Direction,
     SpinMatrices,
-    SpinMismatchError,
-    SpinMoments,
     SpinQuantum,
     berry_area,
     coherent_state,
-    coherent_state_by_rotation,
-    extreme_state,
-    inner,
     overlap_plus,
     spin_matrices,
-    spin_moments,
 )
 from .states import (
     CatCoefficients,
     CatState,
-    DensityDyads,
-    ProductKet,
-    density_dyads,
-    full_matrix,
     singlet,
 )
 
@@ -90,22 +73,17 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # spins
-    "SpinQuantum", "Direction", "DickeKet", "SpinMatrices", "SpinMoments",
-    "SpinMismatchError", "DegenerateTriangleError", "coherent_state",
-    "coherent_state_by_rotation", "extreme_state", "spin_matrices", "inner",
-    "overlap_plus", "berry_area", "spin_moments",
+    "SpinQuantum", "Direction", "DickeKet", "SpinMatrices", "DegenerateTriangleError",
+    "coherent_state", "spin_matrices", "overlap_plus", "berry_area",
     # states
-    "CatCoefficients", "CatState", "ProductKet", "DensityDyads", "singlet",
-    "density_dyads", "full_matrix",
+    "CatCoefficients", "CatState", "singlet",
     # correlations
     "CorrelationBreakdown", "DiagonalElements", "DegeneratePostselectionError",
-    "InternalConsistencyError", "outcome_basis", "rho_elements_oracle",
-    "rho_elements_closed", "correlation", "lc_correlation_closed",
-    "nlc_correlation_closed", "wigner_joint", "unrestricted_correlation",
+    "InternalConsistencyError", "rho_elements_closed", "correlation",
+    "lc_correlation_closed", "wigner_joint", "unrestricted_correlation",
     # inequalities
     "CorrelationProvider", "InequalityReport", "lc_provider", "full_provider",
-    "sampled_provider", "bell_check", "chsh_check", "wigner_check",
-    "quadratic_check", "check", "INEQUALITIES",
+    "sampled_provider", "check", "INEQUALITIES",
     # optimize
     "AngleConfig", "OptimizationResult", "GridTooLargeError", "objective_value",
     "grid_sweep", "refine", "multistart_refine",

@@ -10,7 +10,7 @@ Every diagonal element of the density matrix in that outcome basis splits
 into a local contribution (from the branch dyads) and a non-local one (from
 the interference dyads), and the +-1 product correlation inherits the same
 split.  The closed forms below are cross-checked against a brute-force
-dyad-summation oracle in the test suite.
+dyad-summation oracle in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -22,28 +22,21 @@ from typing import Callable
 
 import numpy as np
 
-from .spins import Direction, SpinQuantum, coherent_state, spin_matrices
-from .states import CatState, ProductKet, density_dyads
+from .spins import Direction, SpinQuantum, spin_matrices
+from .states import CatState
 
 __all__ = [
-    "OutcomeBasis",
     "DiagonalElements",
     "CorrelationBreakdown",
     "DegeneratePostselectionError",
     "InternalConsistencyError",
-    "outcome_basis",
-    "rho_elements_oracle",
     "rho_elements_closed",
     "correlation",
     "pair_kernel",
     "lc_correlation_closed",
-    "nlc_correlation_closed",
     "wigner_joint",
     "unrestricted_correlation",
 ]
-
-# Product value assigned to each conclusive outcome, in basis order.
-OUTCOME_SIGNS = (1.0, -1.0, -1.0, 1.0)
 
 # Below this conclusive weight, postselected correlations are undefined.
 WEIGHT_TOL = 1e-12
@@ -57,31 +50,6 @@ class DegeneratePostselectionError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """A quantity that must be real came out with a significant imaginary part."""
-
-
-@dataclass(frozen=True)
-class OutcomeBasis:
-    """The four conclusive product states for axes a and b, in outcome order."""
-
-    s: SpinQuantum
-    a: Direction
-    b: Direction
-    kets: tuple[ProductKet, ProductKet, ProductKet, ProductKet]
-
-
-def outcome_basis(s: SpinQuantum, a: Direction, b: Direction) -> OutcomeBasis:
-    """Build |+a,+b>, |+a,-b>, |-a,+b>, |-a,-b> from coherent states."""
-    pa = coherent_state(s, a, +1)
-    ma = coherent_state(s, a, -1)
-    pb = coherent_state(s, b, +1)
-    mb = coherent_state(s, b, -1)
-    kets = (
-        ProductKet(pa, pb),
-        ProductKet(pa, mb),
-        ProductKet(ma, pb),
-        ProductKet(ma, mb),
-    )
-    return OutcomeBasis(s, a, b, kets)
 
 
 @dataclass(frozen=True)
@@ -147,41 +115,6 @@ class CorrelationBreakdown:
             "postselect_weight": self.postselect_weight,
             "mode": self.mode,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorrelationBreakdown":
-        return cls(
-            float(data["p_total"]),
-            float(data["p_lc"]),
-            float(data["p_nlc"]),
-            float(data["postselect_weight"]),
-            str(data["mode"]),
-        )
-
-
-def rho_elements_oracle(state: CatState, a: Direction, b: Direction) -> DiagonalElements:
-    """Diagonal elements by direct dyad summation.
-
-    Slow reference path: expands every coherent state and sums
-    <i|u><v|i> over the four dyads.  Exists to pin down phase conventions;
-    production code uses rho_elements_closed.
-    """
-    basis = outcome_basis(state.s, a, b)
-    dyads = density_dyads(state)
-    lc = np.empty(4)
-    nlc = np.empty(4)
-    for i, ket in enumerate(basis.kets):
-        for target, terms in ((lc, dyads.local), (nlc, dyads.cross)):
-            val = 0.0 + 0.0j
-            for weight, u, v in terms:
-                val += weight * ket.overlap(u) * v.overlap(ket)
-            if abs(val.imag) > _IMAG_TOL:
-                raise InternalConsistencyError(
-                    f"diagonal element {i + 1} has imaginary part {val.imag:.3e}"
-                )
-            target[i] = val.real
-    return DiagonalElements(lc, nlc)
-
 
 def _axis(two_s: int, theta: float, phi: float) -> tuple[float, float, float]:
     """One axis's factors in the closed forms: (K, G, phi) with
@@ -335,18 +268,6 @@ def _lc_axis(two_s: int, theta: float, phi: float = 0.0) -> float:
     """One axis's factor in lc_correlation_closed: K^2 - G^2 as
     cos(theta/2)^(4s) - sin(theta/2)^(4s); phi does not enter."""
     return math.cos(theta / 2.0) ** (2 * two_s) - math.sin(theta / 2.0) ** (2 * two_s)
-
-
-def nlc_correlation_closed(state: CatState, a: Direction, b: Direction) -> float:
-    """Non-local part of the correlation.
-
-    Exactly 0.0 for integer spin; for half-integer spin equals four times
-    the first interference element.
-    """
-    if state.s.is_integer:
-        return 0.0
-    nlc = _closed_parts(state, a, b)[1]
-    return (nlc[0] - nlc[1]) + (nlc[3] - nlc[2])
 
 
 _SIGN_INDEX = {(+1, +1): 0, (+1, -1): 1, (-1, +1): 2, (-1, -1): 3}

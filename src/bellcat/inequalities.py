@@ -32,10 +32,6 @@ __all__ = [
     "lc_provider",
     "full_provider",
     "sampled_provider",
-    "bell_check",
-    "chsh_check",
-    "wigner_check",
-    "quadratic_check",
     "check",
     "evaluate",
     "Inequality",
@@ -179,21 +175,6 @@ class InequalityReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "InequalityReport":
-        return cls(
-            str(data["kind"]),
-            float(data["lhs"]),
-            float(data["rhs"]),
-            float(data["margin"]),
-            bool(data["violated"]),
-            tuple(Direction(t, p) for t, p in data["config"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "InequalityReport":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class Inequality:
@@ -286,24 +267,3 @@ def check(provider: CorrelationProvider, kind: str,
     spec, lhs, rhs = evaluate(provider, kind, config)
     margin = spec.margin(lhs, rhs)
     return InequalityReport(kind, lhs, rhs, margin, margin < -VIOLATION_TOL, config)
-
-
-# Per-kind shorthands for check(provider, kind, *axes).
-def bell_check(provider: CorrelationProvider, a: Direction, b: Direction,
-               c: Direction) -> InequalityReport:
-    return check(provider, "bell", a, b, c)
-
-
-def chsh_check(provider: CorrelationProvider, a: Direction, b: Direction,
-               c: Direction, d: Direction) -> InequalityReport:
-    return check(provider, "chsh", a, b, c, d)
-
-
-def wigner_check(provider: CorrelationProvider, a: Direction, b: Direction,
-                 c: Direction) -> InequalityReport:
-    return check(provider, "wigner", a, b, c)
-
-
-def quadratic_check(provider: CorrelationProvider, a: Direction, b: Direction,
-                    c: Direction) -> InequalityReport:
-    return check(provider, "quadratic", a, b, c)

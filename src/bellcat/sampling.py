@@ -12,7 +12,6 @@ angles, n, seed) tuple fixes the counts exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -90,21 +89,6 @@ class SampleStats:
             "seed": self.seed,
             "postselect": self.postselect,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SampleStats":
-        counts = {k: int(data["counts"][k]) for k in CATEGORIES}
-        return cls(
-            int(data["n_total"]), counts, float(data["estimate"]),
-            float(data["stderr"]), int(data["seed"]), bool(data["postselect"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SampleStats":
-        return cls.from_dict(json.loads(text))
 
 
 def outcome_probabilities(state: CatState, a: Direction, b: Direction) -> np.ndarray:

@@ -21,17 +21,11 @@ __all__ = [
     "canonical_angles",
     "DickeKet",
     "SpinMatrices",
-    "SpinMoments",
-    "SpinMismatchError",
     "DegenerateTriangleError",
     "coherent_state",
-    "coherent_state_by_rotation",
-    "extreme_state",
     "spin_matrices",
-    "inner",
     "overlap_plus",
     "berry_area",
-    "spin_moments",
 ]
 
 # Angular tolerance below which a spherical triangle vertex is treated as
@@ -41,10 +35,6 @@ DEGENERACY_TOL = 1e-9
 # Above this 2s the binomial amplitude prefactors are assembled in log space
 # to avoid overflow in comb() and underflow in the half-angle powers.
 _LOG_SPACE_2S = 60
-
-
-class SpinMismatchError(ValueError):
-    """Two kets with different spin quantum numbers were combined."""
 
 
 class DegenerateTriangleError(ValueError):
@@ -175,13 +165,6 @@ class DickeKet:
         return complex(self.amps[int(round(idx))])
 
 
-def extreme_state(s: SpinQuantum, sign: int) -> DickeKet:
-    """The stretched state |s, m=+s> (sign=+1) or |s, m=-s> (sign=-1)."""
-    amps = np.zeros(s.dim, dtype=complex)
-    amps[0 if sign > 0 else -1] = 1.0
-    return DickeKet(s, amps)
-
-
 def _binom_halfpowers(two_s: int, k: int, cos_half: float, sin_half: float,
                       cos_exp: int, sin_exp: int) -> float:
     """sqrt(C(2s, k)) * cos_half**cos_exp * sin_half**sin_exp, overflow-safe."""
@@ -240,33 +223,6 @@ def coherent_state(s: SpinQuantum, direction: Direction, sign: int = +1) -> Dick
     return DickeKet(s, amps)
 
 
-def coherent_state_by_rotation(s: SpinQuantum, direction: Direction,
-                               sign: int = +1) -> DickeKet:
-    """Coherent state built by rotating a stretched state, for cross-checks.
-
-    Applies exp(i theta m.S) with m = (sin phi, -cos phi, 0), the axis that
-    carries the pole onto `direction`, to |s, +s> or |s, -s>.  Agrees with
-    coherent_state() up to a direction-dependent global phase for sign=-1;
-    physical quantities are insensitive to that phase.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    mats = spin_matrices(s)
-    axis = math.sin(direction.phi) * mats.sx - math.cos(direction.phi) * mats.sy
-    w, v = np.linalg.eigh(direction.theta * axis)
-    unitary = (v * np.exp(1j * w)) @ v.conj().T
-    return DickeKet(s, unitary @ extreme_state(s, sign).amps)
-
-
-def inner(bra: DickeKet, ket: DickeKet) -> complex:
-    """Inner product <bra|ket>; conjugation acts on the first argument."""
-    if bra.s != ket.s:
-        raise SpinMismatchError(
-            f"cannot combine kets with 2s={bra.s.two_s} and 2s={ket.s.two_s}"
-        )
-    return complex(np.vdot(bra.amps, ket.amps))
-
-
 def overlap_plus(s: SpinQuantum, n1: Direction, n2: Direction) -> complex:
     """Closed-form overlap <+n1|+n2> between same-sign coherent states.
 
@@ -320,35 +276,6 @@ def spin_matrices(s: SpinQuantum) -> SpinMatrices:
     sx = (sp + sm) / 2.0
     sy = (sp - sm) / 2j
     return SpinMatrices(s, sx, sy, sz)
-
-
-@dataclass(frozen=True)
-class SpinMoments:
-    """First and second moments of the spin components in a given state."""
-
-    mean: np.ndarray       # (<sx>, <sy>, <sz>)
-    second: np.ndarray     # (<sx^2>, <sy^2>, <sz^2>)
-
-    def __post_init__(self) -> None:
-        self.mean.setflags(write=False)
-        self.second.setflags(write=False)
-
-    @property
-    def total_second(self) -> float:
-        """<sx^2 + sy^2 + sz^2>, equal to s(s+1) for any normalized state."""
-        return float(self.second.sum())
-
-
-def spin_moments(ket: DickeKet) -> SpinMoments:
-    """Expectation values of the spin components and their squares."""
-    mats = spin_matrices(ket.s)
-    v = ket.amps
-    mean = np.empty(3)
-    second = np.empty(3)
-    for i, op in enumerate((mats.sx, mats.sy, mats.sz)):
-        mean[i] = np.vdot(v, op @ v).real
-        second[i] = np.vdot(v, op @ (op @ v)).real
-    return SpinMoments(mean, second)
 
 
 def berry_area(n1: Direction, n2: Direction) -> float:

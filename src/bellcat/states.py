@@ -13,23 +13,16 @@ and every correlation quantity downstream reports against that split.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .spins import DickeKet, SpinMismatchError, SpinQuantum, extreme_state, inner
+from .spins import SpinQuantum
 
 __all__ = [
     "CatCoefficients",
     "CatState",
-    "ProductKet",
-    "DensityDyads",
     "singlet",
-    "density_dyads",
-    "full_matrix",
 ]
 
 
@@ -87,38 +80,6 @@ class CatState:
     s: SpinQuantum
     coeffs: CatCoefficients
 
-    def to_dict(self) -> dict:
-        return {
-            "two_s": self.s.two_s,
-            "alpha": self.coeffs.alpha,
-            "gamma1": self.coeffs.gamma1,
-            "gamma2": self.coeffs.gamma2,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CatState":
-        known = {"two_s", "alpha", "gamma1", "gamma2"}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown state fields: {sorted(extra)}")
-        if "two_s" not in data:
-            raise ValueError("state requires two_s")
-        return cls(
-            SpinQuantum(int(data["two_s"])),
-            CatCoefficients(
-                float(data.get("alpha", -math.pi / 4.0)),
-                float(data.get("gamma1", 0.0)),
-                float(data.get("gamma2", 0.0)),
-            ),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CatState":
-        return cls.from_dict(json.loads(text))
-
 
 def singlet(s: SpinQuantum) -> CatState:
     """The antisymmetric-like cat state with c1 = 1/sqrt(2), c2 = -1/sqrt(2).
@@ -127,77 +88,3 @@ def singlet(s: SpinQuantum) -> CatState:
     generalization with the same coefficients.
     """
     return CatState(s, CatCoefficients(-math.pi / 4.0, 0.0, 0.0))
-
-
-@dataclass(frozen=True)
-class ProductKet:
-    """Uncorrelated two-particle state |first> x |second>."""
-
-    first: DickeKet
-    second: DickeKet
-
-    def __post_init__(self) -> None:
-        if self.first.s != self.second.s:
-            raise SpinMismatchError(
-                f"parties carry different spins: 2s={self.first.s.two_s} "
-                f"vs 2s={self.second.s.two_s}"
-            )
-
-    @property
-    def s(self) -> SpinQuantum:
-        return self.first.s
-
-    def overlap(self, other: "ProductKet") -> complex:
-        """<self|other>, factorizing over the two parties."""
-        return inner(self.first, other.first) * inner(self.second, other.second)
-
-    def vector(self) -> np.ndarray:
-        """Amplitudes in the product basis, first particle as the slow index."""
-        return np.kron(self.first.amps, self.second.amps)
-
-
-@dataclass(frozen=True)
-class DensityDyads:
-    """Density matrix of a cat state as a sum of weighted dyads |u><v|.
-
-    local holds the two diagonal-in-branch terms |1><1| and |2><2| with
-    weights |c1|^2 and |c2|^2; cross holds the interference terms |1><2|
-    and |2><1| with weights c1 conj(c2) and c2 conj(c1).  The full density
-    matrix is the sum of all four.
-    """
-
-    local: tuple[tuple[complex, ProductKet, ProductKet], ...]
-    cross: tuple[tuple[complex, ProductKet, ProductKet], ...]
-
-    def terms(self) -> tuple[tuple[complex, ProductKet, ProductKet], ...]:
-        return self.local + self.cross
-
-
-def _branches(state: CatState) -> tuple[ProductKet, ProductKet]:
-    s = state.s
-    up = extreme_state(s, +1)
-    down = extreme_state(s, -1)
-    return ProductKet(up, down), ProductKet(down, up)
-
-
-def density_dyads(state: CatState) -> DensityDyads:
-    """Split the cat-state density matrix into local and cross dyads."""
-    b1, b2 = _branches(state)
-    c1 = state.coeffs.c1
-    c2 = state.coeffs.c2
-    local = (
-        (complex(abs(c1) ** 2), b1, b1),
-        (complex(abs(c2) ** 2), b2, b2),
-    )
-    cross = (
-        (c1 * c2.conjugate(), b1, b2),
-        (c2 * c1.conjugate(), b2, b1),
-    )
-    return DensityDyads(local, cross)
-
-
-def full_matrix(state: CatState) -> np.ndarray:
-    """Dense density matrix in the product Dicke basis, for cross-checks."""
-    b1, b2 = _branches(state)
-    psi = state.coeffs.c1 * b1.vector() + state.coeffs.c2 * b2.vector()
-    return np.outer(psi, psi.conj())

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+import reference
 from conftest import nondegenerate_pair, random_direction, random_state
 
 import bellcat as bc
@@ -127,7 +128,7 @@ def test_criterion_4_parity_factor_links_flipped_outcomes(report):
             while accepted < 100:
                 st = random_state(rng, two_s)
                 a, b = random_direction(rng), random_direction(rng)
-                el = bc.rho_elements_oracle(st, a, b)
+                el = reference.rho_elements_oracle(st, a, b)
                 if abs(el.nlc[0]) <= 1e-6:
                     continue
                 accepted += 1
@@ -148,7 +149,7 @@ def test_criterion_5_closed_forms_match_dyad_oracle(report):
             for _ in range(200):
                 st = random_state(rng, two_s)
                 a, b = random_direction(rng), random_direction(rng)
-                o = bc.rho_elements_oracle(st, a, b)
+                o = reference.rho_elements_oracle(st, a, b)
                 c = bc.rho_elements_closed(st, a, b)
                 worst = max(
                     worst,
@@ -160,7 +161,7 @@ def test_criterion_5_closed_forms_match_dyad_oracle(report):
         # adjudication: for the spin-1 cat at equal equatorial axes the
         # interference element is sin(2 alpha)/16, not sin(2 alpha)/32
         st = bc.singlet(bc.SpinQuantum(2))
-        oracle_value = bc.rho_elements_oracle(st, EQ, EQ).nlc[0]
+        oracle_value = reference.rho_elements_oracle(st, EQ, EQ).nlc[0]
         assert abs(oracle_value - (-1.0 / 16.0)) < 1e-12, (
             f"oracle supports {oracle_value!r}, not -1/32"
         )
@@ -175,18 +176,18 @@ def test_criterion_6_local_model_immunity_and_wigner_split(report):
             provider = bc.lc_provider(bc.singlet(bc.SpinQuantum(two_s)))
             for _ in range(10_000):
                 a, b, c = (random_direction(rng) for _ in range(3))
-                assert not bc.bell_check(provider, a, b, c).violated
-                assert not bc.quadratic_check(provider, a, b, c).violated
+                assert not bc.check(provider, "bell", a, b, c).violated
+                assert not bc.check(provider, "quadratic", a, b, c).violated
                 d = random_direction(rng)
-                assert not bc.chsh_check(provider, a, b, c, d).violated
+                assert not bc.check(provider, "chsh", a, b, c, d).violated
 
         half = bc.lc_provider(bc.singlet(bc.SpinQuantum(1)))
         for _ in range(10_000):
             a, b, c = (random_direction(rng) for _ in range(3))
-            assert not bc.wigner_check(half, a, b, c).violated
+            assert not bc.check(half, "wigner", a, b, c).violated
 
         one = bc.lc_provider(bc.singlet(bc.SpinQuantum(2)))
-        r = bc.wigner_check(one, EQ, bc.Direction(0.0, 0.0), bc.Direction(PI, 0.0))
+        r = bc.check(one, "wigner", EQ, bc.Direction(0.0, 0.0), bc.Direction(PI, 0.0))
         assert abs(r.lhs - 0.5) <= 1e-12
         assert abs(r.rhs - 0.25) <= 1e-12
         assert r.violated

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellcat import (CATEGORIES, INEQUALITIES, CatCoefficients, CatState, CorrelationBreakdown,
-                     Direction, InequalityReport, SampleStats, SpinQuantum, check, correlation,
-                     full_provider, grid_sweep, sample_outcomes, singlet)
+from bellcat import (CATEGORIES, INEQUALITIES, CatCoefficients, CatState, Direction,
+                     SpinQuantum, check, correlation, full_provider, grid_sweep,
+                     sample_outcomes, singlet)
 from bellcat.cli import _csv_line, _sweep_pieces, main
 
 PI = math.pi
@@ -44,7 +44,7 @@ class TestCorrelate:
         payload = json.loads(out)
         assert payload["p_total"] == -1.0
         assert payload["mode"] == "raw"
-        assert CorrelationBreakdown.from_dict(payload).p_lc == -1.0
+        assert payload["p_lc"] == -1.0
 
     def test_integer_spin_reports_zero_cross_part(self, capsys):
         code, out = run(capsys, "correlate", "--two-s", "2",
@@ -243,10 +243,7 @@ class TestCheck:
         assert payload["violated"] is True
         assert payload["lhs"] == pytest.approx(2 * math.sqrt(2), abs=1e-12)
         assert payload["provenance"] == "full"
-        report = InequalityReport.from_dict(
-            {k: payload[k] for k in ("kind", "lhs", "rhs", "margin", "violated", "config")}
-        )
-        assert report.kind == "chsh"
+        assert payload["kind"] == "chsh"
 
     def test_lc_provider_satisfies(self, capsys):
         code, out = run(capsys, "check", "--kind", "chsh", "--two-s", "1",
@@ -555,7 +552,7 @@ class TestSample:
         assert code == 0
         payload = json.loads(out)
         assert payload["estimate"] == -1.0
-        assert SampleStats.from_dict(payload).n_conclusive == 10000
+        assert payload["n_total"] - payload["counts"]["inconclusive"] == 10000
 
     def test_requires_seed(self, capsys):
         code, _ = run(capsys, "sample", "--two-s", "1", "--a", "0,0",

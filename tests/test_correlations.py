@@ -1,5 +1,6 @@
 """Closed-form correlations against the dyad oracle and frozen benchmarks."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from conftest import random_direction, random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import full_matrix, outcome_basis, rho_elements_oracle
 
 from bellcat import (
     CatCoefficients,
@@ -16,12 +18,8 @@ from bellcat import (
     Direction,
     SpinQuantum,
     correlation,
-    full_matrix,
     lc_correlation_closed,
-    nlc_correlation_closed,
-    outcome_basis,
     rho_elements_closed,
-    rho_elements_oracle,
     singlet,
     unrestricted_correlation,
     wigner_joint,
@@ -179,8 +177,9 @@ class TestCorrelation:
             correlation(singlet(SpinQuantum(1)), EQ, EQ, mode="bogus")
 
     def test_round_trip_dict(self):
+        # the dict the CLI prints carries every field
         br = correlation(singlet(SpinQuantum(3)), Direction(0.4, 0.1), Direction(1.2, 2.2))
-        again = CorrelationBreakdown.from_dict(br.to_dict())
+        again = CorrelationBreakdown(**json.loads(json.dumps(br.to_dict())))
         assert again == br
 
 
@@ -219,7 +218,7 @@ class TestClosedPieces:
         rng = np.random.default_rng(37)
         for two_s in (2, 4):
             st = random_state(rng, two_s)
-            assert nlc_correlation_closed(st, random_direction(rng), random_direction(rng)) == 0.0
+            assert correlation(st, random_direction(rng), random_direction(rng)).p_nlc == 0.0
 
     def test_nlc_singlet_half_closed_form(self):
         rng = np.random.default_rng(41)
@@ -227,15 +226,17 @@ class TestClosedPieces:
         for _ in range(100):
             a, b = random_direction(rng), random_direction(rng)
             expected = -math.sin(a.theta) * math.sin(b.theta) * math.cos(a.phi - b.phi)
-            assert nlc_correlation_closed(st, a, b) == pytest.approx(expected, abs=1e-13)
+            assert correlation(st, a, b).p_nlc == pytest.approx(expected, abs=1e-13)
 
     def test_nlc_matches_breakdown(self):
+        # half-integer spin: the non-local part is four times the first
+        # interference element, here the dyad oracle's
         rng = np.random.default_rng(43)
         for two_s in (1, 3, 5):
             st = random_state(rng, two_s)
             a, b = random_direction(rng), random_direction(rng)
             assert correlation(st, a, b).p_nlc == pytest.approx(
-                nlc_correlation_closed(st, a, b), abs=1e-14
+                4.0 * rho_elements_oracle(st, a, b).nlc[0], abs=1e-14
             )
 
 

@@ -1,5 +1,6 @@
 """Inequality checks over the three provider kinds."""
 
+import json
 import math
 
 import numpy as np
@@ -11,15 +12,11 @@ from bellcat import (
     Direction,
     InequalityReport,
     SpinQuantum,
-    bell_check,
     check,
-    chsh_check,
     full_provider,
     lc_provider,
-    quadratic_check,
     sampled_provider,
     singlet,
-    wigner_check,
 )
 
 PI = math.pi
@@ -131,8 +128,8 @@ class TestBell:
         for two_s in (1, 2, 3):
             p = lc_provider(singlet(SpinQuantum(two_s)))
             for _ in range(2000):
-                r = bell_check(p, random_direction(rng), random_direction(rng),
-                               random_direction(rng))
+                r = check(p, "bell", random_direction(rng), random_direction(rng),
+                          random_direction(rng))
                 assert not r.violated
                 assert r.margin >= -1e-9
 
@@ -141,7 +138,7 @@ class TestBell:
         a = Direction(0.0, 0.0)
         b = Direction(PI / 3, 0.0)
         c = Direction(2 * PI / 3, 0.0)
-        r = bell_check(p, a, b, c)
+        r = check(p, "bell", a, b, c)
         assert r.lhs == pytest.approx(1.0, abs=1e-12)
         assert r.rhs == pytest.approx(0.5, abs=1e-12)
         assert r.violated
@@ -151,15 +148,15 @@ class TestBell:
         rng = np.random.default_rng(7)
         p = full_provider(singlet(SpinQuantum(2)))
         for _ in range(2000):
-            r = bell_check(p, random_direction(rng), random_direction(rng),
-                           random_direction(rng))
+            r = check(p, "bell", random_direction(rng), random_direction(rng),
+                      random_direction(rng))
             assert not r.violated
 
 
 class TestChsh:
     def test_tsirelson_configuration(self):
         p = full_provider(singlet(SpinQuantum(1)))
-        r = chsh_check(p, *TSIRELSON)
+        r = check(p, "chsh", *TSIRELSON)
         assert r.lhs == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
         assert r.violated
         assert r.margin == pytest.approx(2.0 - 2.0 * math.sqrt(2.0), abs=1e-12)
@@ -169,16 +166,17 @@ class TestChsh:
         for two_s in (1, 2, 3):
             p = lc_provider(singlet(SpinQuantum(two_s)))
             for _ in range(2000):
-                r = chsh_check(p, random_direction(rng), random_direction(rng),
-                               random_direction(rng), random_direction(rng))
+                r = check(p, "chsh", random_direction(rng), random_direction(rng),
+                          random_direction(rng), random_direction(rng))
                 assert r.lhs <= 2.0 + 1e-9
                 assert not r.violated
 
     def test_angle_normalization_invariance(self):
         p = full_provider(singlet(SpinQuantum(1)))
-        base = chsh_check(p, *TSIRELSON)
-        shifted = chsh_check(
+        base = check(p, "chsh", *TSIRELSON)
+        shifted = check(
             p,
+            "chsh",
             Direction(0.0, 2 * PI),
             Direction(PI / 4 - 2 * PI, 0.0),
             Direction(-PI / 4, 0.0),
@@ -193,14 +191,14 @@ class TestWigner:
         rng = np.random.default_rng(13)
         p = lc_provider(singlet(SpinQuantum(1)))
         for _ in range(2000):
-            r = wigner_check(p, random_direction(rng), random_direction(rng),
-                             random_direction(rng))
+            r = check(p, "wigner", random_direction(rng), random_direction(rng),
+                      random_direction(rng))
             assert not r.violated
 
     def test_lc_spin_one_violates_at_polar_triple(self):
         p = lc_provider(singlet(SpinQuantum(2)))
-        r = wigner_check(p, Direction(PI / 2, 0.0), Direction(0.0, 0.0),
-                         Direction(PI, 0.0))
+        r = check(p, "wigner", Direction(PI / 2, 0.0), Direction(0.0, 0.0),
+                  Direction(PI, 0.0))
         assert r.lhs == pytest.approx(0.5, abs=1e-12)
         assert r.rhs == pytest.approx(0.25, abs=1e-12)
         assert r.violated
@@ -208,7 +206,7 @@ class TestWigner:
     def test_jointless_provider_rejected(self):
         bare = CorrelationProvider("full", lambda a, b: 0.0, None)
         with pytest.raises(ValueError):
-            wigner_check(bare, *TSIRELSON[:3])
+            check(bare, "wigner", *TSIRELSON[:3])
 
 
 class TestQuadratic:
@@ -216,7 +214,7 @@ class TestQuadratic:
         for two_s in (1, 2):
             p = lc_provider(singlet(SpinQuantum(two_s)))
             z = Direction(0.0, 0.0)
-            r = quadratic_check(p, z, z, z)
+            r = check(p, "quadratic", z, z, z)
             assert r.lhs == pytest.approx(4.0, abs=1e-12)
             assert r.rhs == pytest.approx(4.0, abs=1e-12)
             assert r.margin == pytest.approx(0.0, abs=1e-12)
@@ -227,16 +225,16 @@ class TestQuadratic:
         for two_s in (1, 2, 4):
             p = lc_provider(singlet(SpinQuantum(two_s)))
             for _ in range(2000):
-                r = quadratic_check(p, random_direction(rng), random_direction(rng),
-                                    random_direction(rng))
+                r = check(p, "quadratic", random_direction(rng), random_direction(rng),
+                          random_direction(rng))
                 assert not r.violated
 
     def test_full_singlet_half_violates_at_orthogonal_pair(self):
         # b and c orthogonal makes the lhs vanish while a at 45 degrees
         # keeps both products on the rhs large
         p = full_provider(singlet(SpinQuantum(1)))
-        r = quadratic_check(p, Direction(PI / 4, 0.0), Direction(0.0, 0.0),
-                            Direction(PI / 2, 0.0))
+        r = check(p, "quadratic", Direction(PI / 4, 0.0), Direction(0.0, 0.0),
+                  Direction(PI / 2, 0.0))
         assert r.lhs == pytest.approx(0.0, abs=1e-12)
         assert r.rhs == pytest.approx(2.0, abs=1e-12)
         assert r.violated
@@ -246,8 +244,10 @@ class TestQuadratic:
 class TestReports:
     def test_json_round_trip(self):
         p = full_provider(singlet(SpinQuantum(1)))
-        r = chsh_check(p, *TSIRELSON)
-        again = InequalityReport.from_json(r.to_json())
+        r = check(p, "chsh", *TSIRELSON)
+        data = json.loads(r.to_json())
+        config = tuple(Direction(t, f) for t, f in data["config"])
+        again = InequalityReport(**{**data, "config": config})
         assert again == r
 
 
@@ -269,6 +269,6 @@ class TestDispatcher:
     def test_sampled_chsh_lands_near_tsirelson(self):
         st = singlet(SpinQuantum(1))
         p = sampled_provider(st, 200_000, 2024)
-        r = chsh_check(p, *TSIRELSON)
+        r = check(p, "chsh", *TSIRELSON)
         assert r.lhs == pytest.approx(2.0 * math.sqrt(2.0), abs=0.02)
         assert r.violated

@@ -27,7 +27,6 @@ from bellcat import (
     correlation,
     full_provider,
     lc_provider,
-    nlc_correlation_closed,
     objective_value,
     rho_elements_closed,
     sampled_provider,
@@ -162,11 +161,13 @@ def test_wigner_joint_matches_reference(state, a, b):
 @kernel
 @given(state=state, a=direction, b=direction)
 def test_nlc_correlation_closed_matches_reference(state, a, b):
+    # the raw non-local part: exactly 0.0 for integer spin, four times the
+    # first interference element for half-integer spin
     if state.s.is_integer:
         want = 0.0
     else:
         want = 4.0 * float(reference_elements(state, a, b)[1][0])
-    assert same(nlc_correlation_closed(state, a, b), want)
+    assert same(correlation(state, a, b).p_nlc, want)
 
 
 @kernel
@@ -187,7 +188,6 @@ def test_full_provider_joint_matches_reference(state, a, b):
 def test_integer_spin_interference_part_is_exactly_zero(two_s, coeffs, a, b):
     cat = CatState(SpinQuantum(two_s), CatCoefficients(*coeffs))
     assert correlation(cat, a, b).p_nlc == 0.0
-    assert nlc_correlation_closed(cat, a, b) == 0.0
     postselected = outcome(correlation, cat, a, b, "postselected")
     if not isinstance(postselected, tuple):
         assert postselected.p_nlc == 0.0

@@ -8,21 +8,23 @@ import pytest
 from conftest import nondegenerate_pair, random_direction
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (
+    SpinMismatchError,
+    coherent_state_by_rotation,
+    extreme_state,
+    inner,
+    spin_moments,
+)
 
 from bellcat import (
     DegenerateTriangleError,
     DickeKet,
     Direction,
-    SpinMismatchError,
     SpinQuantum,
     berry_area,
     coherent_state,
-    coherent_state_by_rotation,
-    extreme_state,
-    inner,
     overlap_plus,
     spin_matrices,
-    spin_moments,
 )
 
 PI = math.pi

