@@ -33,6 +33,7 @@ from .inequalities import (
 )
 from .optimize import (
     AngleConfig,
+    BudgetExceededError,
     GridTooLargeError,
     OptimizationResult,
     grid_sweep,
@@ -85,8 +86,8 @@ __all__ = [
     "CorrelationProvider", "InequalityReport", "lc_provider", "full_provider",
     "sampled_provider", "check", "INEQUALITIES",
     # optimize
-    "AngleConfig", "OptimizationResult", "GridTooLargeError", "objective_value",
-    "grid_sweep", "refine", "multistart_refine",
+    "AngleConfig", "OptimizationResult", "GridTooLargeError", "BudgetExceededError",
+    "objective_value", "grid_sweep", "refine", "multistart_refine",
     # sampling
     "CATEGORIES", "SampleStats", "PhotonEmulation", "NegativeProbabilityError",
     "ZeroConclusiveError", "UnsupportedScenarioError", "outcome_probabilities",

@@ -33,19 +33,31 @@ __all__ = [
     "AngleConfig",
     "OptimizationResult",
     "GridTooLargeError",
+    "BudgetExceededError",
     "GRID_POINT_LIMIT",
+    "EVALUATION_LIMIT",
+    "SHOT_LIMIT",
     "objective_value",
     "grid_sweep",
     "refine",
     "multistart_refine",
 ]
 
+# Work limits, each checked before anything is drawn or allocated.
 # Hard ceiling on resolution**(2 * arity) grid combinations.
 GRID_POINT_LIMIT = 10**8
+# Ceiling on starts * max_iter in multistart_refine.
+EVALUATION_LIMIT = 10**7
+# Ceiling on the shots of one sample_outcomes call (about 5 ns each).
+SHOT_LIMIT = 10**10
 
 
 class GridTooLargeError(ValueError):
     """Requested sweep exceeds the combination budget."""
+
+
+class BudgetExceededError(ValueError):
+    """A request exceeds EVALUATION_LIMIT or SHOT_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -331,22 +343,39 @@ def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
 
     Start k draws its angles from the deterministic uniform stream, so two
     runs with equal arguments agree bit for bit.  Ties keep the earliest
-    start.
+    start.  Each random start is drawn just before it is refined, so memory
+    does not grow with n_starts.
+
+    Raises
+    ------
+    BudgetExceededError
+        If the starts, extra ones included, times max_iter (at least 1)
+        exceed EVALUATION_LIMIT; nothing is drawn.
     """
     dim = 2 * inequality(kind).arity
+    if n_starts < 0:
+        raise ValueError(f"n_starts must be non-negative, got {n_starts}")
     if n_starts < 1 and not extra_starts:
         raise ValueError("need at least one start")
-    u = rng.uniforms(seed, n_starts * dim).reshape(n_starts, dim) if n_starts else None
-    starts = list(extra_starts)
-    for k in range(n_starts):
-        row = u[k]
-        angles = np.empty(dim)
-        angles[0::2] = row[0::2] * math.pi
-        angles[1::2] = row[1::2] * 2.0 * math.pi
-        starts.append(AngleConfig.from_flat(angles))
+    total = n_starts + len(extra_starts)
+    if total * max(max_iter, 1) > EVALUATION_LIMIT:
+        raise BudgetExceededError(
+            f"{total} starts x {max_iter} iterations exceeds the evaluation "
+            f"limit {EVALUATION_LIMIT:.0e}"
+        )
+
+    def starts():
+        yield from extra_starts
+        for k in range(n_starts):
+            row = rng.uniforms(seed, dim, k * dim)
+            angles = np.empty(dim)
+            angles[0::2] = row[0::2] * math.pi
+            angles[1::2] = row[1::2] * 2.0 * math.pi
+            yield AngleConfig.from_flat(angles)
+
     best: Optional[OptimizationResult] = None
     evals = 0
-    for start in starts:
+    for start in starts():
         run = refine(provider, kind, start, max_iter=max_iter, tol=tol)
         evals += run.evaluations
         if best is None or run.best_value > best.best_value:

@@ -16,41 +16,89 @@ import numpy as np
 __all__ = ["uniforms", "integers", "derive"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
-def integers(seed: int, count: int, start: int = 0) -> np.ndarray:
+def _word(value: int) -> np.ndarray:
+    """`value` as a read-only 0-d uint64 array.
+
+    A ufunc takes a 0-d array operand in about half the time of an
+    np.uint64 scalar, which matters for small draws; building one costs
+    more, so values used once stay scalars.
+    """
+    a = np.array(value, dtype=np.uint64)
+    a.setflags(write=False)
+    return a
+
+
+_MIX1 = _word(0xBF58476D1CE4E5B9)
+_MIX2 = _word(0x94D049BB133111EB)
+_SHIFT11 = _word(11)
+_SHIFT27 = _word(27)
+_SHIFT30 = _word(30)
+_SHIFT31 = _word(31)
+
+# Words filled per add of the step table, and the table's largest size.
+_CHUNK = 1 << 16
+
+# _steps[i] = (i + 1) * golden mod 2**64, read-only; built at first use and
+# grown to the largest chunk asked for, at most _CHUNK words.
+_steps = np.empty(0, dtype=np.uint64)
+
+
+def _step_table(count: int) -> np.ndarray:
+    global _steps
+    if count > len(_steps):
+        table = np.arange(1, count + 1, dtype=np.uint64)
+        # array arithmetic on uint64 wraps mod 2**64 without a warning
+        table *= np.uint64(_GOLDEN)
+        table.setflags(write=False)
+        _steps = table
+    return _steps
+
+
+def integers(seed: int, count: int, start: int = 0, *,
+             out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
     """Raw 64-bit words number `start` through `start + count - 1` of the stream.
 
     The stream is indexed, not stateful: word i is mix(seed + (i+1)*golden),
-    so disjoint index ranges can be drawn in any order or in parallel.  The
-    SplitMix64 finalizer runs in place on the returned array with one
-    scratch buffer for the shifts; every call returns a fresh array.
-    Sampling counts these words against integer thresholds, which gives
-    the counts an inverse-CDF lookup of `uniforms` would.
+    so disjoint index ranges can be drawn in any order or in parallel.  Each
+    chunk of counters is one add of (start*golden + seed) mod 2**64 to a
+    cached table of (i+1)*golden, and the SplitMix64 finalizer runs in place
+    with one scratch buffer for the shifts.  Sampling counts these words
+    against integer thresholds, which gives the counts an inverse-CDF lookup
+    of `uniforms` would.
+
+    `out` and `scratch`, when given, are caller-owned uint64 arrays of
+    exactly `count` elements: the words are written into `out`, which is
+    returned, and `scratch` is overwritten.  A caller drawing many blocks
+    can reuse both.  The words never depend on the buffers or on what they
+    held before; without `out` every call returns a fresh array.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    shifted = np.empty_like(z)
-    # uint64 arithmetic wraps mod 2^64 by construction
-    with np.errstate(over="ignore"):
-        z *= _GOLDEN
-        z += np.uint64(seed & _MASK)
-        z ^= np.right_shift(z, 30, out=shifted)
-        z *= _MIX1
-        z ^= np.right_shift(z, 27, out=shifted)
-        z *= _MIX2
-        z ^= np.right_shift(z, 31, out=shifted)
+    z = np.empty(count, dtype=np.uint64) if out is None else out
+    shifted = np.empty_like(z) if scratch is None else scratch
+    steps = _step_table(min(count, _CHUNK))
+    for first in range(0, count, _CHUNK):
+        m = min(_CHUNK, count - first)
+        offset = np.uint64(((start + first) * _GOLDEN + seed) & _MASK)
+        np.add(steps[:m], offset, z[first:first + m])
+    z ^= np.right_shift(z, _SHIFT30, shifted)
+    z *= _MIX1
+    z ^= np.right_shift(z, _SHIFT27, shifted)
+    z *= _MIX2
+    z ^= np.right_shift(z, _SHIFT31, shifted)
     return z
 
 
 def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     """`count` uniforms on [0, 1) with 53-bit resolution, as float64."""
     words = integers(seed, count, start)
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u = np.right_shift(words, _SHIFT11, words).astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def _mix_int(z: int) -> int:
@@ -58,6 +106,10 @@ def _mix_int(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+_pack_double = struct.Struct("<d").pack
+_unpack_word = struct.Struct("<Q").unpack
 
 
 def derive(seed: int, *labels: float) -> int:
@@ -69,8 +121,8 @@ def derive(seed: int, *labels: float) -> int:
     z = seed & _MASK
     for v in labels:
         if isinstance(v, float):
-            bits = struct.unpack("<Q", struct.pack("<d", v))[0]
+            bits = _unpack_word(_pack_double(v))[0]
         else:
             bits = int(v) & _MASK
-        z = _mix_int(((z + 0x9E3779B97F4A7C15) & _MASK) ^ bits)
+        z = _mix_int(((z + _GOLDEN) & _MASK) ^ bits)
     return z

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import optimize, rng
 from .correlations import rho_elements_closed
+from .optimize import BudgetExceededError
 from .spins import Direction
 from .states import CatState
 
@@ -97,33 +98,35 @@ def outcome_probabilities(state: CatState, a: Direction, b: Direction) -> np.nda
     Entries follow CATEGORIES order.  The inconclusive entry is pinned to
     exactly 0.0 for s = 1/2.
     """
-    totals = rho_elements_closed(state, a, b).totals
-    probs = np.empty(5)
+    totals = rho_elements_closed(state, a, b).totals.tolist()
     for i, p in enumerate(totals):
-        p = float(p)
         if p < -_NEG_TOL:
             raise NegativeProbabilityError(
                 f"outcome {CATEGORIES[i]} has probability {p:.3e}"
             )
-        probs[i] = 0.0 if p < PROB_SNAP else p
+    p0, p1, p2, p3 = (0.0 if p < PROB_SNAP else p for p in totals)
     if state.s.two_s == 1:
         # every outcome is extremal for s = 1/2, so nothing is discarded
-        probs[4] = 0.0
+        p4 = 0.0
     else:
-        leftover = 1.0 - float(probs[:4].sum())
+        # numpy's order for a 4-element sum
+        leftover = 1.0 - (((p0 + p1) + p2) + p3)
         if leftover < -_NEG_TOL:
             raise NegativeProbabilityError(
                 f"conclusive probabilities sum to {1.0 - leftover:.17g} > 1"
             )
-        probs[4] = 0.0 if leftover < PROB_SNAP else leftover
-    return probs
+        p4 = 0.0 if leftover < PROB_SNAP else leftover
+    return np.array([p0, p1, p2, p3, p4])
 
 
 def _draw_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
-    cdf = np.cumsum(probs[:4])
-    if probs[4] == 0.0:
-        # no inconclusive mass: make the last bin swallow CDF rounding slack
-        cdf[3] = 1.0
+    p0, p1, p2, p3, p4 = probs.tolist()
+    # np.cumsum's sequential order
+    c0 = p0
+    c1 = c0 + p1
+    c2 = c1 + p2
+    # no inconclusive mass: make the last bin swallow CDF rounding slack
+    c3 = 1.0 if p4 == 0.0 else c2 + p3
     # Shots are counted, not categorized: word w's uniform (w >> 11) * 2**-53
     # lies below a cdf entry c exactly when w < ceil(c * 2**53) << 11, since
     # scaling by a power of two is exact; a limit of 2**53 or more takes
@@ -132,22 +135,29 @@ def _draw_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
     # categories 0..k, also when the pinned last entry sits under an entry
     # rounded above 1 (no uniform reaches 1), so the counts are the
     # differences of the four running totals.
-    limits = [math.ceil(c * 2.0**53) for c in cdf.tolist()]
+    limits = [math.ceil(c * 2.0**53) for c in (c0, c1, c2, c3)]
     below = [n if limit >= 1 << 53 else 0 for limit in limits]
     thresholds = [(k, np.uint64(limit << 11)) for k, limit in enumerate(limits)
                   if 0 < limit < 1 << 53]
+    # one set of block buffers per call, reused by every block
+    size = min(_BLOCK, n)
+    words = np.empty(size, dtype=np.uint64)
+    scratch = np.empty_like(words)
+    mask = np.empty(size, dtype=bool)
     for start in range(0, n, _BLOCK):
-        words = rng.integers(seed, min(_BLOCK, n - start), start)
+        m = min(_BLOCK, n - start)
+        block = rng.integers(seed, m, start, out=words[:m], scratch=scratch[:m])
         for k, threshold in thresholds:
-            below[k] += np.count_nonzero(words < threshold)
-    edges = np.array([0, *below, n], dtype=np.int64)
-    return edges[1:] - edges[:-1]
+            below[k] += np.count_nonzero(np.less(block, threshold, mask[:m]))
+    b0, b1, b2, b3 = below
+    return np.array([b0, b1 - b0, b2 - b1, b3 - b2, n - b3], dtype=np.int64)
 
 
 def _stats_from_counts(counts: np.ndarray, n: int, seed: int,
                        postselect: bool) -> SampleStats:
+    counts = counts.tolist()
     signed = float(counts[0] - counts[1] - counts[2] + counts[3])
-    conclusive = int(n - counts[4])
+    conclusive = n - counts[4]
     if postselect:
         if conclusive == 0:
             raise ZeroConclusiveError("all draws were inconclusive")
@@ -162,7 +172,7 @@ def _stats_from_counts(counts: np.ndarray, n: int, seed: int,
     if denom > 1:
         variance *= denom / (denom - 1)
     stderr = math.sqrt(variance / denom)
-    count_map = {name: int(counts[i]) for i, name in enumerate(CATEGORIES)}
+    count_map = dict(zip(CATEGORIES, counts))
     return SampleStats(n, count_map, estimate, stderr, seed, postselect)
 
 
@@ -184,11 +194,17 @@ def sample_outcomes(state: CatState, a: Direction, b: Direction, n: int,
 
     Raises
     ------
+    BudgetExceededError
+        If n exceeds optimize.SHOT_LIMIT; nothing is drawn.
     ZeroConclusiveError
         In postselect mode when no shot was conclusive.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > optimize.SHOT_LIMIT:
+        raise BudgetExceededError(
+            f"{n} shots exceed the shot limit {optimize.SHOT_LIMIT:.0e}"
+        )
     probs = outcome_probabilities(state, a, b)
     counts = _draw_counts(probs, n, seed)
     return _stats_from_counts(counts, n, seed, postselect)

@@ -4,7 +4,9 @@ Everything here expands states as explicit vectors and sums dyads or
 matrices directly, so it shares no arithmetic with the closed forms in
 bellcat: product kets and the cat state's density dyads, the dense
 density matrix, coherent states built by rotation, spin moments, and the
-dyad-summation oracle for the diagonal elements.  Tests import it the way
+dyad-summation oracle for the diagonal elements.  It also keeps the
+numpy bookkeeping of the five sampling categories that bellcat replaced
+with float arithmetic, for bit-identity tests.  Tests import it the way
 they import conftest (``from reference import ...``); pytest does not
 collect it.
 """
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bellcat import CatState, DickeKet, Direction, SpinQuantum, coherent_state, spin_matrices
+from bellcat import (CatState, DickeKet, Direction, SpinQuantum, coherent_state, sampling,
+                     spin_matrices)
 from bellcat.correlations import _IMAG_TOL, DiagonalElements, InternalConsistencyError
 
 
@@ -217,3 +220,34 @@ def rho_elements_oracle(state: CatState, a: Direction, b: Direction) -> Diagonal
                 )
             target[i] = val.real
     return DiagonalElements(lc, nlc)
+
+
+# --- sampling -------------------------------------------------------------
+
+
+def outcome_probabilities_numpy(state: CatState, a: Direction, b: Direction) -> np.ndarray:
+    """sampling.outcome_probabilities as numpy array bookkeeping.
+
+    Reads the diagonal elements through sampling's rho_elements_closed
+    binding, so a test that patches it feeds both versions.
+    """
+    totals = sampling.rho_elements_closed(state, a, b).totals
+    probs = np.empty(5)
+    for i, p in enumerate(totals):
+        p = float(p)
+        if p < -sampling._NEG_TOL:
+            raise sampling.NegativeProbabilityError(
+                f"outcome {sampling.CATEGORIES[i]} has probability {p:.3e}"
+            )
+        probs[i] = 0.0 if p < sampling.PROB_SNAP else p
+    if state.s.two_s == 1:
+        # every outcome is extremal for s = 1/2, so nothing is discarded
+        probs[4] = 0.0
+    else:
+        leftover = 1.0 - float(probs[:4].sum())
+        if leftover < -sampling._NEG_TOL:
+            raise sampling.NegativeProbabilityError(
+                f"conclusive probabilities sum to {1.0 - leftover:.17g} > 1"
+            )
+        probs[4] = 0.0 if leftover < sampling.PROB_SNAP else leftover
+    return probs

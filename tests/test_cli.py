@@ -538,6 +538,17 @@ class TestOptimize:
         assert "only --format json" in captured.err
         assert not target.exists()
 
+    def test_start_budget_exits_3_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("starts were drawn")
+
+        monkeypatch.setattr("bellcat.rng.uniforms", no_draw)
+        code = main(["optimize", "--kind", "chsh", "--two-s", "1",
+                     "--starts", "1000000000", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "evaluation limit" in captured.err
+
     def test_csv_format_without_output_still_runs(self, capsys):
         code, out = run(capsys, "optimize", "--kind", "chsh", "--two-s", "1",
                         "--starts", "1", "--seed", "1", "--max-iter", "20", "--format", "csv")
@@ -616,6 +627,18 @@ class TestSample:
         assert (code, captured.out) == (2, "")
         assert "--photon" in captured.err
         assert not target.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--photon"]], ids=["raw", "photon"])
+    def test_shot_limit_exits_3_before_drawing(self, capsys, monkeypatch, extra):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("shots were drawn")
+
+        monkeypatch.setattr("bellcat.rng.integers", no_draw)
+        code = main(["sample", "--two-s", "2", "--a", "0.7,0.1", "--b", "1.9,2.2",
+                     "--n", "10000000001", "--seed", "3", *extra])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "shot limit" in captured.err
 
     def test_photon_mode_needs_spin_one(self, capsys):
         code, _ = run(capsys, "sample", "--two-s", "1", "--a", "0,0",

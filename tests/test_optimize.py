@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bellcat import (
     INEQUALITIES,
     AngleConfig,
+    BudgetExceededError,
     CatCoefficients,
     CatState,
     Direction,
@@ -25,6 +26,7 @@ from bellcat import (
     refine,
     singlet,
 )
+from bellcat import optimize, rng
 from bellcat.optimize import _nelder_mead, _simplex_around
 
 PI = math.pi
@@ -277,6 +279,47 @@ class TestMultistart:
     def test_needs_at_least_one_start(self):
         with pytest.raises(ValueError):
             multistart_refine(full_half(), "chsh", 0, seed=1)
+        with pytest.raises(ValueError):
+            multistart_refine(full_half(), "chsh", -1, seed=1, extra_starts=(TSIRELSON,))
+
+    def test_random_starts_read_one_stream(self, monkeypatch):
+        # start k takes uniforms k*dim .. (k+1)*dim - 1, the rows of one draw
+        seen = []
+        real_refine = optimize.refine
+
+        def recording_refine(provider, kind, start, **kwargs):
+            seen.append(start.flat().tolist())
+            return real_refine(provider, kind, start, **kwargs)
+
+        monkeypatch.setattr(optimize, "refine", recording_refine)
+        multistart_refine(full_half(), "chsh", 3, seed=9, max_iter=3,
+                          extra_starts=(TSIRELSON,))
+        u = rng.uniforms(9, 3 * 8).reshape(3, 8)
+        want = [TSIRELSON.flat().tolist()]
+        for row in u:
+            angles = np.empty(8)
+            angles[0::2] = row[0::2] * math.pi
+            angles[1::2] = row[1::2] * 2.0 * math.pi
+            want.append(AngleConfig.from_flat(angles).flat().tolist())
+        assert seen == want
+
+    def test_evaluation_limit_checked_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("starts were drawn")
+
+        monkeypatch.setattr(optimize, "EVALUATION_LIMIT", 100)
+        monkeypatch.setattr(rng, "uniforms", no_draw)
+        with pytest.raises(BudgetExceededError, match="evaluation limit"):
+            multistart_refine(full_half(), "chsh", 11, seed=1, max_iter=10)
+        # a start costs at least one iteration, whatever max_iter says
+        with pytest.raises(BudgetExceededError):
+            multistart_refine(full_half(), "chsh", 101, seed=1, max_iter=0)
+        # fixed starts count too
+        with pytest.raises(BudgetExceededError):
+            multistart_refine(full_half(), "chsh", 0, seed=1, max_iter=101,
+                              extra_starts=(TSIRELSON,))
+        with pytest.raises(AssertionError, match="drawn"):
+            multistart_refine(full_half(), "chsh", 10, seed=1, max_iter=10)
 
 
 class TestResultPayload:

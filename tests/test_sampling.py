@@ -1,17 +1,23 @@
 """Deterministic uniforms and Monte Carlo measurement sampling."""
 
+import hashlib
 import json
 import math
 import struct
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from conftest import random_direction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import outcome_probabilities_numpy
 
 from bellcat import (
     CATEGORIES,
+    BudgetExceededError,
     CatCoefficients,
     CatState,
     DiagonalElements,
@@ -22,13 +28,15 @@ from bellcat import (
     UnsupportedScenarioError,
     ZeroConclusiveError,
     correlation,
+    grid_sweep,
     outcome_probabilities,
     photon_emulation,
     rho_elements_closed,
     sample_outcomes,
+    sampled_provider,
     singlet,
 )
-from bellcat import rng, sampling
+from bellcat import optimize, rng, sampling
 
 PI = math.pi
 EQ = Direction(PI / 2, 0.0)
@@ -122,6 +130,48 @@ class TestRng:
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, second)
 
+    def test_reused_buffers_match_reference_across_chunk_edges(self):
+        chunk = rng._CHUNK
+        words = np.empty(3 * chunk, dtype=np.uint64)
+        scratch = np.empty_like(words)
+        # one buffer pair for every seed, start and count, so a stale word
+        # from an earlier draw would show
+        for seed, start in ((0, 0), (2**64 - 1, 2**32 - 2), (-5, 2**63 - chunk)):
+            want = [reference_word(seed, start + i) for i in range(3 * chunk)]
+            for count in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk):
+                got = rng.integers(seed, count, start,
+                                   out=words[:count], scratch=scratch[:count])
+                assert got.base is words
+                assert got.tolist() == want[:count]
+
+    def test_step_table_is_read_only(self):
+        rng.integers(1, 100)
+        assert not rng._steps.flags.writeable
+        with pytest.raises(ValueError):
+            rng._steps[0] = 0
+
+    def test_step_table_is_lazy_and_sized_to_the_largest_chunk(self):
+        # a fresh interpreter, since earlier tests have grown the table
+        code = ("from bellcat import rng\n"
+                "sizes = [len(rng._steps)]\n"
+                "rng.uniforms(1, 48)\n"
+                "sizes.append(len(rng._steps))\n"
+                "rng.integers(1, 10 * rng._CHUNK)\n"
+                "sizes.append(len(rng._steps) == rng._CHUNK)\n"
+                "print(sizes)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 48, True]"
+
+    def test_no_floating_point_or_overflow_signals(self):
+        # the uint64 arithmetic wraps mod 2**64 without numpy warnings
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for seed in (0, -1, 2**64 - 1):
+                for count in (1, 3, rng._CHUNK + 5):
+                    rng.integers(seed, count, 2**64 - 2)
+                    rng.uniforms(seed, count, 2**63)
+
     def test_range_and_determinism(self):
         u = rng.uniforms(99, 10000)
         assert np.all((0.0 <= u) & (u < 1.0))
@@ -161,7 +211,62 @@ class TestRng:
                 assert rng.derive(seed, *flipped) != rng.derive(seed, *first)
 
 
+SNAP, NEG = sampling.PROB_SNAP, sampling._NEG_TOL
+# entries on either side of the snap and negative-tolerance edges
+EDGES = [0.0, -0.0, 5e-324, SNAP, math.nextafter(SNAP, 0.0), math.nextafter(SNAP, 1.0),
+         -NEG, math.nextafter(-NEG, 0.0), math.nextafter(-NEG, -1.0)]
+edge_entry = st.one_of(st.sampled_from(EDGES), st.floats(-2e-12, 1.0))
+pole_angle = st.one_of(st.sampled_from([0.0, -0.0, PI, -PI, 2 * PI]),
+                       st.floats(-2 * PI, 2 * PI))
+
+
+@st.composite
+def element_totals(draw):
+    """Four diagonal totals; the last one may leave a leftover at an edge."""
+    totals = [draw(edge_entry) for _ in range(3)]
+    if draw(st.booleans()):
+        gap = draw(st.one_of(st.sampled_from(EDGES), st.floats(-2e-12, 2e-14)))
+        totals.append(1.0 - ((totals[0] + totals[1]) + totals[2]) - gap)
+    else:
+        totals.append(draw(edge_entry))
+    return totals
+
+
+def assert_same_as_numpy_reference(state, a, b):
+    """outcome_probabilities equals the numpy reference byte for byte,
+    raises included."""
+    outcomes = []
+    for function in (outcome_probabilities, outcome_probabilities_numpy):
+        try:
+            probs = function(state, a, b)
+            outcomes.append((probs.dtype, probs.shape, probs.tobytes()))
+        except NegativeProbabilityError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 class TestOutcomeProbabilities:
+    @settings(max_examples=400, deadline=None)
+    @given(two_s=st.sampled_from([1, 2, 3, 4, 5, 6, 59, 60, 61]),
+           coeffs=st.tuples(*[st.floats(-PI, PI)] * 3),
+           angles=st.tuples(pole_angle, st.floats(-2 * PI, 2 * PI),
+                            pole_angle, st.floats(-2 * PI, 2 * PI)))
+    def test_matches_numpy_reference(self, two_s, coeffs, angles):
+        state = CatState(SpinQuantum(two_s), CatCoefficients(*coeffs))
+        assert_same_as_numpy_reference(state, Direction(*angles[:2]), Direction(*angles[2:]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(two_s=st.sampled_from([1, 2]), totals=element_totals())
+    @example(two_s=2, totals=[0.25, 0.25, 0.25, 0.25 - 5e-15])  # the leftover snaps
+    @example(two_s=2, totals=[0.25, 0.25, 0.25, 0.25 + 2e-12])  # the sum exceeds 1
+    @example(two_s=1, totals=[0.5, -2e-12, 0.5, 0.0])  # a negative outcome
+    def test_edge_entries_match_numpy_reference(self, two_s, totals):
+        # -0.0 keeps every total's sign of zero
+        elements = DiagonalElements(np.array(totals), np.full(4, -0.0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "rho_elements_closed", lambda *_: elements)
+            assert_same_as_numpy_reference(singlet(SpinQuantum(two_s)), EQ, EQ)
+
     def test_half_spin_has_no_inconclusive_mass(self):
         rng_np = np.random.default_rng(3)
         st = singlet(SpinQuantum(1))
@@ -341,6 +446,18 @@ class TestSampleOutcomes:
                                 3_000_000, 2**63 + 5)
         assert stats.counts == counts
 
+    def test_shot_limit_checked_before_any_word(self, monkeypatch):
+        def no_words(*args, **kwargs):
+            raise AssertionError("words were drawn")
+
+        st = singlet(SpinQuantum(2))
+        monkeypatch.setattr(optimize, "SHOT_LIMIT", 1000)
+        assert sample_outcomes(st, EQ, EQ, 1000, 3).n_total == 1000
+        monkeypatch.setattr(rng, "integers", no_words)
+        with pytest.raises(BudgetExceededError, match="shot limit"):
+            sample_outcomes(st, EQ, EQ, 1001, 3)
+        assert issubclass(BudgetExceededError, ValueError)
+
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
             sample_outcomes(singlet(SpinQuantum(1)), EQ, EQ, 0, 1)
@@ -351,6 +468,48 @@ class TestSampleOutcomes:
                                 Direction(1.1, 0.8), 4000, 55)
         again = SampleStats(**json.loads(json.dumps(stats.to_dict())))
         assert again == stats
+
+
+# Recorded before draws reused their buffers; a change to how shots are
+# drawn or counted must reproduce them.  The digest covers every sweep
+# value as little-endian float64 bytes, block by block.
+SWEEP_GOLDEN = {
+    (1, False): (2.1846666666666668, -0.18466666666666676,
+                 [(0.7853981633974483, 0.0), (2.356194490192345, 3.141592653589793),
+                  (0.0, 1.5707963267948966), (3.141592653589793, 4.71238898038469)],
+                 "cc13fdaa45fdce6aefa96606a2924034"),
+    (2, False): (2.049, -0.04899999999999993,
+                 [(0.0, 3.141592653589793), (0.0, 0.0),
+                  (1.5707963267948966, 0.0), (0.0, 4.71238898038469)],
+                 "6eeff79dff0d80807850648db6e59bc2"),
+    (3, False): (2.0473333333333334, -0.04733333333333345,
+                 [(0.0, 4.71238898038469), (1.5707963267948966, 1.5707963267948966),
+                  (0.0, 0.0), (3.141592653589793, 0.0)],
+                 "37655eca66922bf13c71dfcf689f0fce"),
+    (3, True): (2.2579051716971836, -0.25790517169718363,
+                [(0.0, 1.5707963267948966), (0.7853981633974483, 0.0),
+                 (0.7853981633974483, 3.141592653589793),
+                 (1.5707963267948966, 3.141592653589793)],
+                "4f815cf4f28b4ec9b9b8367d2d3415cf"),
+}
+
+
+class TestSampledSweepGolden:
+    @pytest.mark.parametrize("two_s, postselect", list(SWEEP_GOLDEN))
+    def test_resolution_5_chsh_sweep(self, two_s, postselect):
+        value, margin, config, digest = SWEEP_GOLDEN[(two_s, postselect)]
+        state = CatState(SpinQuantum(two_s), CatCoefficients(0.2, 0.1, 0.2))
+        provider = sampled_provider(state, 3000, 2**63 + 11, postselect=postselect)
+        h = hashlib.sha256()
+        result = grid_sweep(provider, "chsh", 5,
+                            sink=lambda block, _angles: h.update(block.astype("<f8").tobytes()))
+        config = [list(d) for d in config]
+        assert result.to_dict() == {"kind": "chsh", "best_config": config, "best_value": value,
+                                    "evaluations": 390625, "converged": True, "trace": None}
+        assert result.report(provider).to_dict() == {
+            "kind": "chsh", "lhs": value, "rhs": 2.0, "margin": margin, "violated": True,
+            "config": config}
+        assert h.hexdigest()[:32] == digest
 
 
 class TestPhotonEmulation:
