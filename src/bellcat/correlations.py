@@ -126,27 +126,25 @@ def _axis(two_s: int, theta: float, phi: float) -> tuple[float, float, float]:
     return math.cos(theta / 2.0) ** two_s, math.sin(theta / 2.0) ** two_s, phi
 
 
-def _elements(state: CatState, fa: tuple, fb: tuple) -> tuple[tuple, tuple]:
+def _elements(consts: tuple, fa: tuple, fb: tuple) -> tuple[tuple, tuple]:
     """rho_elements_closed's closed forms as (lc, nlc) 4-tuples, from the
-    _axis factors of a and b."""
+    state's closed_constants and the _axis factors of a and b."""
+    w1, w2, interference, two_s, delta, parity = consts
     ka, ga, phi_a = fa
     kb, gb, phi_b = fb
     ka2, ga2, kb2, gb2 = ka * ka, ga * ga, kb * kb, gb * gb
-    coeffs = state.coeffs
-    w1, w2 = coeffs.weight1, coeffs.weight2
     lc = (w1 * ka2 * gb2 + w2 * ga2 * kb2, w1 * ka2 * kb2 + w2 * ga2 * gb2,
           w1 * ga2 * gb2 + w2 * ka2 * kb2, w1 * ga2 * kb2 + w2 * ka2 * gb2)
-    s = state.s
-    cross = (coeffs.interference * math.cos(s.two_s * (phi_a - phi_b) + coeffs.delta)
-             * ka * ga * kb * gb)
-    flipped = s.parity * cross
+    cross = interference * math.cos(two_s * (phi_a - phi_b) + delta) * ka * ga * kb * gb
+    flipped = parity * cross
     return lc, (cross, flipped, flipped, cross)
 
 
 def _closed_parts(state: CatState, a: Direction, b: Direction) -> tuple[tuple, tuple]:
     """_elements for the axes a and b."""
-    two_s = state.s.two_s
-    return _elements(state, _axis(two_s, a.theta, a.phi), _axis(two_s, b.theta, b.phi))
+    consts = state.closed_constants
+    two_s = consts[3]
+    return _elements(consts, _axis(two_s, a.theta, a.phi), _axis(two_s, b.theta, b.phi))
 
 
 def _weight(lc: tuple, nlc: tuple) -> float:
@@ -186,22 +184,28 @@ def pair_kernel(state: CatState, part: str, mode: str,
     conclusive weight.  Factors computed once per axis serve every pair
     it is in.
     """
-    two_s = state.s.two_s
+    consts = state.closed_constants
+    two_s = consts[3]
     postselected = mode == "postselected"
     if not joint and part == "lc":
         def pair(xa, xb):
             return -xa * xb
         return partial(_lc_axis, two_s), pair
-    if not joint:
+    if not joint and postselected:
         def pair(fa, fb):
-            p_lc, p_nlc, _ = _split(*_elements(state, fa, fb), postselected)
+            p_lc, p_nlc, _ = _split(*_elements(consts, fa, fb), True)
             return p_lc + p_nlc
+    elif not joint:
+        # _split's p_lc + p_nlc, without the weight raw mode never reads
+        def pair(fa, fb):
+            lc, nlc = _elements(consts, fa, fb)
+            return ((lc[0] - lc[1]) + (lc[3] - lc[2])) + ((nlc[0] - nlc[1]) + (nlc[3] - nlc[2]))
     elif part == "lc":
         def pair(fa, fb):
-            return _elements(state, fa, fb)[0][0]
+            return _elements(consts, fa, fb)[0][0]
     else:
         def pair(fa, fb):
-            lc, nlc = _elements(state, fa, fb)
+            lc, nlc = _elements(consts, fa, fb)
             p = lc[0] + nlc[0]
             if postselected:
                 p /= _weight(lc, nlc)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "GRID_POINT_LIMIT",
     "EVALUATION_LIMIT",
     "SHOT_LIMIT",
+    "COHERENT_DIM_LIMIT",
     "objective_value",
     "grid_sweep",
     "refine",
@@ -50,6 +52,8 @@ GRID_POINT_LIMIT = 10**8
 EVALUATION_LIMIT = 10**7
 # Ceiling on the shots of one sample_outcomes call (about 5 ns each).
 SHOT_LIMIT = 10**10
+# Ceiling on the dimension 2s + 1 of one spins.coherent_state ket.
+COHERENT_DIM_LIMIT = 10**6
 
 
 class GridTooLargeError(ValueError):
@@ -57,7 +61,7 @@ class GridTooLargeError(ValueError):
 
 
 class BudgetExceededError(ValueError):
-    """A request exceeds EVALUATION_LIMIT or SHOT_LIMIT."""
+    """A request exceeds EVALUATION_LIMIT, SHOT_LIMIT or COHERENT_DIM_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -126,9 +130,10 @@ def objective_value(provider: CorrelationProvider, kind: str,
 
 
 def _flat_objective(provider: CorrelationProvider, kind: str,
-                    ) -> Callable[[np.ndarray], float]:
+                    ) -> Callable[[list[float]], float]:
     """objective_value as a function of the interleaved angles of one config.
 
+    x is a list of Python floats, as _nelder_mead's simplex holds them.
     Equals objective_value(provider, kind, AngleConfig.from_flat(x)) bit
     for bit, errors included, for x of the kind's length; but each
     direction is canonicalized and prepared once by the provider's kernel
@@ -138,10 +143,8 @@ def _flat_objective(provider: CorrelationProvider, kind: str,
     prepare, pair = spec.kernel(provider)
     pairs, sides, objective = spec.pairs, spec.sides, spec.objective
 
-    def value(x: np.ndarray) -> float:
-        angles = x.tolist()
-        factors = [prepare(*canonical_angles(angles[k], angles[k + 1]))
-                   for k in range(0, len(angles), 2)]
+    def value(x: list[float]) -> float:
+        factors = [prepare(*canonical_angles(x[k], x[k + 1])) for k in range(0, len(x), 2)]
         return objective(*sides(*[pair(factors[i], factors[j]) for i, j in pairs]))
 
     return value
@@ -232,9 +235,9 @@ def _simplex_around(x0: np.ndarray, edge: float) -> np.ndarray:
     return simplex
 
 
-def _nelder_mead(f: Callable[[np.ndarray], float], sim: np.ndarray, fatol: float,
+def _nelder_mead(f: Callable[[list[float]], float], sim: list[list[float]], fatol: float,
                  maxiter: int, callback: Callable[[], None],
-                 ) -> tuple[np.ndarray, float, bool]:
+                 ) -> tuple[list[float], float, bool]:
     """Minimize f from the initial simplex sim; return (x, fun, converged).
 
     Ported expression for expression, sorts and stopping test included,
@@ -244,23 +247,36 @@ def _nelder_mead(f: Callable[[np.ndarray], float], sim: np.ndarray, fatol: float
     fails only on NaN, which Direction rejects).  The initial simplex is
     iteration 1, so at most maxiter - 1 steps run, each followed by one
     callback; converged means maxiter was not reached.
+
+    The simplex is a list of points, each a list of Python floats; f gets
+    a point's list itself and must not modify it.  numpy serves only the
+    re-sorts, which take argsort's order, ties included, and the final
+    np.min, whose result (the sign of a zero included) is fun.  Every float
+    operation is the reference's, element by element: the centroid adds the
+    rows in order, as its axis-0 reduction does (builtin sum would not), and
+    a NaN value fails the spread test, as it does there.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    n = sim.shape[1]
-    fsim = np.array([f(x.copy()) for x in sim], dtype=float)
-    ind = fsim.argsort()
-    sim = sim.take(ind, 0)
-    fsim = fsim.take(ind, 0)
+    n = len(sim[0])
+    fsim = [f(x) for x in sim]
+    ind = np.array(fsim).argsort().tolist()
+    sim = [sim[i] for i in ind]
+    fsim = [fsim[i] for i in ind]
     iterations = 1
     while iterations < maxiter:
-        if abs(fsim[0] - fsim[1:]).max() <= fatol:
+        best = fsim[0]
+        if all(abs(best - v) <= fatol for v in fsim[1:]):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = f(xr.copy())
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = f(xe.copy())
+        xbar = sim[0]
+        for row in sim[1:-1]:
+            xbar = map(add, xbar, row)
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+        xr = [(1 + rho) * a - rho * b for a, b in zip(xbar, worst)]
+        fxr = f(xr)
+        if fxr < best:
+            xe = [(1 + rho * chi) * a - rho * chi * b for a, b in zip(xbar, worst)]
+            fxe = f(xe)
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -269,25 +285,26 @@ def _nelder_mead(f: Callable[[np.ndarray], float], sim: np.ndarray, fatol: float
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = f(xc.copy())
+                xc = [(1 + psi * rho) * a - psi * rho * b for a, b in zip(xbar, worst)]
+                fxc = f(xc)
                 accept = fxc <= fxr
             else:
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = f(xc.copy())
+                xc = [(1 - psi) * a + psi * b for a, b in zip(xbar, worst)]
+                fxc = f(xc)
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
+                x0 = sim[0]
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j].copy())
+                    sim[j] = [a + sigma * (b - a) for a, b in zip(x0, sim[j])]
+                    fsim[j] = f(sim[j])
         iterations += 1
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind, 0)
+        ind = np.array(fsim).argsort().tolist()
+        sim = [sim[i] for i in ind]
+        fsim = [fsim[i] for i in ind]
         callback()
-    return sim[0], fsim.min(), iterations < maxiter
+    return sim[0], np.min(fsim), iterations < maxiter
 
 
 def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
@@ -305,8 +322,10 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     evaluated, the trace is empty and converged is False.
 
     The start is scored by objective_value; every simplex point is scored
-    on its flat angle vector by _flat_objective, which canonicalizes and
+    on its flat angle list by _flat_objective, which canonicalizes and
     prepares each direction once and equals objective_value bit for bit.
+    The simplex is Python lists, and its loop calls numpy only to re-sort
+    (argsort) and for the final minimum.
     """
     start_value = objective_value(provider, kind, start)
     x0 = start.flat()
@@ -314,7 +333,7 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     state = {"best": -math.inf, "evals": 1}
     trace: list[tuple[int, float]] = []
 
-    def negated(x: np.ndarray) -> float:
+    def negated(x: list[float]) -> float:
         value = objective(x)
         state["evals"] += 1
         if value > state["best"]:
@@ -324,7 +343,7 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     def on_iteration() -> None:
         trace.append((len(trace), state["best"]))
 
-    x, fun, converged = _nelder_mead(negated, _simplex_around(x0, 0.1), tol,
+    x, fun, converged = _nelder_mead(negated, _simplex_around(x0, 0.1).tolist(), tol,
                                      max_iter, on_iteration)
     best_config = AngleConfig.from_flat(x)
     best_value = -float(fun)

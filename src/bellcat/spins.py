@@ -205,9 +205,22 @@ def coherent_state(s: SpinQuantum, direction: Direction, sign: int = +1) -> Dick
     -------
     DickeKet
         Normalized eigenket of n.S with eigenvalue sign * s.
+
+    Raises
+    ------
+    BudgetExceededError
+        If 2s + 1 exceeds optimize.COHERENT_DIM_LIMIT; nothing is allocated.
     """
+    # optimize imports this module, so its limits are read at call time.
+    from . import optimize
+
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if s.dim > optimize.COHERENT_DIM_LIMIT:
+        raise optimize.BudgetExceededError(
+            f"dimension {s.dim} exceeds the coherent-state limit "
+            f"{optimize.COHERENT_DIM_LIMIT:.0e}"
+        )
     two_s = s.two_s
     chalf = math.cos(direction.theta / 2.0)
     shalf = math.sin(direction.theta / 2.0)

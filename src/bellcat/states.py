@@ -80,6 +80,13 @@ class CatState:
     s: SpinQuantum
     coeffs: CatCoefficients
 
+    @cached_property
+    def closed_constants(self) -> tuple[float, float, float, int, float, int]:
+        """(w1, w2, sin(2 alpha), 2s, delta, (-1)^(2s)), the constants of the
+        closed-form diagonal elements, read once per state."""
+        c, s = self.coeffs, self.s
+        return c.weight1, c.weight2, c.interference, s.two_s, c.delta, s.parity
+
 
 def singlet(s: SpinQuantum) -> CatState:
     """The antisymmetric-like cat state with c1 = 1/sqrt(2), c2 = -1/sqrt(2).

@@ -695,6 +695,19 @@ class TestCoherent:
                       "--dir", "0,0")
         assert code == 2
 
+    def test_dimension_limit_exits_3_before_allocating(self, capsys, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("amplitudes were allocated")
+
+        monkeypatch.setattr("bellcat.optimize.COHERENT_DIM_LIMIT", 3)
+        code, out = run(capsys, "coherent", "--two-s", "2", "--dir", "0,0")
+        assert code == 0 and len(json.loads(out)["amplitudes"]) == 3
+        monkeypatch.setattr(np, "empty", no_alloc)
+        code = main(["coherent", "--two-s", "300000000", "--dir", "1,1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "coherent-state limit" in captured.err
+
 
 class TestTopLevel:
     def test_version(self, capsys):

@@ -224,7 +224,7 @@ def test_flat_objective_matches_objective_value(state, kind, label, angles):
     x = np.array(angles[:2 * INEQUALITIES[kind].arity])
     want = outcome(lambda: objective_value(PROVIDERS[label](state), kind,
                                            AngleConfig.from_flat(x.copy())))
-    got = outcome(_flat_objective(PROVIDERS[label](state), kind), x.copy())
+    got = outcome(_flat_objective(PROVIDERS[label](state), kind), x.tolist())
     assert same(got, want), (got, want)
 
 

@@ -1,5 +1,6 @@
 """Grid sweep and simplex refinement."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from bellcat import (
     BudgetExceededError,
     CatCoefficients,
     CatState,
+    CorrelationProvider,
     Direction,
     GridTooLargeError,
     SpinQuantum,
@@ -226,24 +228,76 @@ class TestNelderMeadReference:
             return res.x, res.fun, bool(res.success)
 
         def ours(f, sim, max_iter, steps):
-            return _nelder_mead(f, sim, 1e-10, max_iter, lambda: steps.append(1))
+            return _nelder_mead(f, sim.tolist(), 1e-10, max_iter, lambda: steps.append(1))
 
         def run(minimizer, max_iter, digits):
             calls, steps = [], []
 
             def f(x):
-                calls.append(x.tobytes())
+                calls.append(np.asarray(x).tobytes())
                 value = objective_value(p, kind, AngleConfig.from_flat(x))
                 return -value if digits is None else -round(value, digits)
 
             x, fun, converged = minimizer(f, _simplex_around(x0, 0.1), max_iter, steps)
-            return x.tobytes(), repr(float(fun)), converged, calls, len(steps)
+            return np.asarray(x).tobytes(), repr(float(fun)), converged, calls, len(steps)
 
         # the rounded objective has plateaus and exact ties, which take the
         # shrink step and the tie sides of every comparison
         for digits in (None, 2):
             for max_iter in (1, 2, 7, 2000):
                 assert run(ours, max_iter, digits) == run(reference, max_iter, digits)
+
+    @pytest.mark.parametrize("kind", sorted(INEQUALITIES))
+    def test_nan_region_matches_scipy_bit_for_bit(self, kind):
+        # The objective is NaN wherever two axes it reads lie more than 0.25
+        # rad apart in theta, which some initial vertices do, so NaN values
+        # enter the sorts, the comparisons and the spread test.  Rounded to
+        # whole numbers, the finite vertices tie, and the spread test must
+        # not stop while a NaN is in the simplex.
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        full = full_provider(CatState(SpinQuantum(1), CatCoefficients(0.4, 0.2)), "postselected")
+
+        def holed(reader):
+            def read(a, b, *signs):
+                return math.nan if abs(a.theta - b.theta) > 0.25 else reader(a, b, *signs)
+            return read
+
+        p = CorrelationProvider("full", holed(full.correlation), holed(full.joint))
+        rng = np.random.default_rng(len(kind))
+        arity = INEQUALITIES[kind].arity
+        x0 = AngleConfig(tuple(Direction(1.0 + 0.1 * k, 2 * PI * rng.random())
+                               for k in range(arity))).flat()
+        values = []
+
+        def run(minimize, max_iter, digits):
+            calls, steps = [], []
+
+            def f(x):
+                calls.append(np.asarray(x).tobytes())
+                value = objective_value(p, kind, AngleConfig.from_flat(x))
+                values.append(value)
+                return -value if digits is None else -round(value, digits)
+
+            x, fun, converged = minimize(f, _simplex_around(x0, 0.1), max_iter, steps)
+            return np.asarray(x).tobytes(), repr(float(fun)), converged, calls, len(steps)
+
+        def ours(f, sim, max_iter, steps):
+            return _nelder_mead(f, sim.tolist(), 1e-10, max_iter, lambda: steps.append(1))
+
+        def reference(f, sim, max_iter, steps):
+            res = scipy_optimize.minimize(
+                f, x0, method="Nelder-Mead", callback=lambda *_: steps.append(1),
+                options={"initial_simplex": sim, "fatol": 1e-10, "xatol": np.inf,
+                         "maxiter": max_iter, "maxfev": 10**9},
+            )
+            assert res.nit == 1 + len(steps)
+            return res.x, res.fun, bool(res.success)
+
+        for digits in (None, 2, 0):
+            for max_iter in (1, 2, 7, 2000):
+                assert run(ours, max_iter, digits) == run(reference, max_iter, digits)
+        assert any(math.isnan(v) for v in values)
+        assert any(math.isfinite(v) for v in values)
 
 
 class TestMultistart:
@@ -333,3 +387,64 @@ class TestResultPayload:
         report = result.report(p)
         assert report.kind == "chsh"
         assert report.violated
+
+
+# Recorded before the simplex moved to Python lists; a change to how the
+# searches evaluate or step must reproduce them.  Each digest covers every
+# sweep value as little-endian float64 bytes, then the repr of each
+# result's to_dict(), in the order the test computes them.
+SEARCH_GOLDEN = {
+    ("bell", 1, "raw"): "379ddc589806c89be221b6aefade112c",
+    ("bell", 1, "postselected"): "ca838001c70eb693a86b7c41e3ce33b9",
+    ("bell", 1, "lc"): "17c0d5e9b261dd7488e4665e8d86e757",
+    ("bell", 2, "raw"): "d2065d53086956973406ca2f7deae848",
+    ("bell", 2, "postselected"): "b9fff3412045e0c4a4311527cb6f5764",
+    ("bell", 2, "lc"): "f724c4ad695a7406b49aae9c1b343ce4",
+    ("bell", 3, "raw"): "e0fbc9188d38ee93278a2c85e795c2c8",
+    ("bell", 3, "postselected"): "869d7966dd6556b453d49f78c55f2bcc",
+    ("bell", 3, "lc"): "737045850b00126a57ba6463c949af75",
+    ("chsh", 1, "raw"): "ce3f40c0441493af7309fb9c99ddd887",
+    ("chsh", 1, "postselected"): "45bddfd4ac886b35e1aa03d8ffd6f921",
+    ("chsh", 1, "lc"): "571aa9f787e82dbf043b6027492be3de",
+    ("chsh", 2, "raw"): "8c9f6083703b7e5d0831279f34df5c34",
+    ("chsh", 2, "postselected"): "20a7494d33dac1a81ef1ae35fdeb68cc",
+    ("chsh", 2, "lc"): "84a367059f3443ea5de5a3a97ea9a93c",
+    ("chsh", 3, "raw"): "ea66a27a8a0ac1c7ce5e9e4635d0d1a5",
+    ("chsh", 3, "postselected"): "cb4078ac1f57f8869d6933393470fce4",
+    ("chsh", 3, "lc"): "da69ed5244251103dde4a967eb5c7f60",
+    ("quadratic", 1, "raw"): "9f6f33ca5be18fa1aec2fc8a9d8d0704",
+    ("quadratic", 1, "postselected"): "8d1f656a969ee62cb0680b1cf15096ea",
+    ("quadratic", 1, "lc"): "76949f92eaeb5cad17a360d5060c6049",
+    ("quadratic", 2, "raw"): "32f49851ca66d2cad1a3d551238e2ed6",
+    ("quadratic", 2, "postselected"): "49eb0da9c894d8ff542b0838331c2e60",
+    ("quadratic", 2, "lc"): "350a6d299e8cf4c0bc96cbaa4d33e5db",
+    ("quadratic", 3, "raw"): "3dc81f84079712fadd310d56256ae90a",
+    ("quadratic", 3, "postselected"): "1b12f776f33809a2d715fc752bdaaaa6",
+    ("quadratic", 3, "lc"): "65d1498d8d4f55f1f0306db22e1a143a",
+    ("wigner", 1, "raw"): "9f304f6ac6b5c3426e67ee8fa295cbf5",
+    ("wigner", 1, "postselected"): "35bdbc79a8f2d9051ef8de522183b255",
+    ("wigner", 1, "lc"): "700add2b8e492c4a44257933e1d5bc9b",
+    ("wigner", 2, "raw"): "4014399539e4665c09b8b834a817eb37",
+    ("wigner", 2, "postselected"): "852f017755c558fd1b0d2817eb780fe9",
+    ("wigner", 2, "lc"): "6784f1c9c1a6a6ee1c801e90512bb3e2",
+    ("wigner", 3, "raw"): "b0490c7506d504e8a187b24d9a9355ea",
+    ("wigner", 3, "postselected"): "d1cac042d424cad570fd7575890c964e",
+    ("wigner", 3, "lc"): "12eeadd668c90b40b853b393b1ad653d",
+}
+
+
+class TestSearchGolden:
+    @pytest.mark.parametrize("kind, two_s, label", list(SEARCH_GOLDEN))
+    def test_search_results(self, kind, two_s, label):
+        state = CatState(SpinQuantum(two_s), CatCoefficients(0.7, 0.3, -0.4))
+        provider = lc_provider(state) if label == "lc" else full_provider(state, label)
+        h = hashlib.sha256()
+        sweep = grid_sweep(provider, kind, 3,
+                           sink=lambda block, _angles: h.update(block.astype("<f8").tobytes()))
+        h.update(repr(sweep.to_dict()).encode())
+        for max_iter in (1, 2, 7, 2000):
+            for result in (refine(provider, kind, sweep.best_config, max_iter=max_iter),
+                           multistart_refine(provider, kind, 2, seed=17 + two_s,
+                                             max_iter=max_iter)):
+                h.update(repr(result.to_dict()).encode())
+        assert h.hexdigest()[:32] == SEARCH_GOLDEN[(kind, two_s, label)]

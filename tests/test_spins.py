@@ -17,6 +17,7 @@ from reference import (
 )
 
 from bellcat import (
+    BudgetExceededError,
     DegenerateTriangleError,
     DickeKet,
     Direction,
@@ -26,6 +27,7 @@ from bellcat import (
     overlap_plus,
     spin_matrices,
 )
+from bellcat import optimize
 
 PI = math.pi
 
@@ -118,6 +120,19 @@ class TestCoherentStates:
             down = coherent_state(s, Direction(0.0, 0.0), -1)
             assert abs(down.amps[-1] - s.parity) < 1e-15
             assert np.all(down.amps[:-1] == 0.0)
+
+    def test_dimension_limit_checked_before_allocating(self, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("amplitudes were allocated")
+
+        monkeypatch.setattr(optimize, "COHERENT_DIM_LIMIT", 5)
+        assert coherent_state(SpinQuantum(4), Direction(1.0, 2.0)).amps.shape == (5,)
+        monkeypatch.setattr(np, "empty", no_alloc)
+        for sign in (+1, -1):
+            with pytest.raises(BudgetExceededError, match="coherent-state limit"):
+                coherent_state(SpinQuantum(5), Direction(1.0, 2.0), sign)
+        with pytest.raises(AssertionError, match="allocated"):
+            coherent_state(SpinQuantum(4), Direction(1.0, 2.0))
 
     def test_spin1_equator_amplitudes(self):
         ket = coherent_state(SpinQuantum(2), Direction(PI / 2, 0.0), +1)
