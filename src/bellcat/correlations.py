@@ -79,7 +79,7 @@ class DiagonalElements:
     @property
     def weight(self) -> float:
         """Total conclusive probability, the mass kept by postselection."""
-        return float(self.lc.sum() + self.nlc.sum())
+        return float(_weight(self.lc, self.nlc))
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,9 @@ def _closed_parts(state: CatState, a: Direction, b: Direction) -> tuple[tuple, t
 
 
 def _weight(lc: tuple, nlc: tuple) -> float:
-    """The conclusive weight, summed left to right as numpy sums a 4-vector:
-    equals DiagonalElements.weight."""
+    """The conclusive weight: lc and nlc each summed left to right, numpy's
+    order for a 4-vector.  The one sum behind DiagonalElements.weight and
+    every kernel that divides by the weight."""
     return (((lc[0] + lc[1]) + lc[2]) + lc[3]) + (((nlc[0] + nlc[1]) + nlc[2]) + nlc[3])
 
 

@@ -6,7 +6,7 @@ estimates.  A report's margin is positive when the inequality is satisfied
 with room to spare and negative when violated; "violated" applies a small
 tolerance so exact boundary cases do not flip on rounding.  Each
 inequality is one INEQUALITIES entry, which check and the searches in
-optimize both read.
+optimize both read, and each reads a provider through Inequality.kernel.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ class CorrelationProvider:
     angles) into factors, and pair(fa, fb) must return, bit for bit, the
     float that correlation(a, b) returns, or joint(a, b, +1, +1) when
     joint is set, for the Directions with those angles, and raise as it
-    does.  Without axes the searches use (Direction, the reader itself),
-    so a custom provider needs only correlation and joint.
+    does.  Without axes, check and the searches use (Direction, the reader
+    itself), so a custom provider needs only correlation and joint.
     """
 
     provenance: str
@@ -207,8 +207,10 @@ class Inequality:
 
     def kernel(self, provider: CorrelationProvider) -> tuple[Callable, Callable]:
         """(prepare, pair) for the value this inequality reads: the provider's
-        axes kernel, or (Direction, reader) for a provider without one.  Either
-        way pair(prepare(*a_angles), prepare(*b_angles)) equals reader(a, b)."""
+        axes kernel, or (Direction, the reader) for a provider without one.
+        Either way pair(prepare(*a_angles), prepare(*b_angles)) is the
+        reader's value at the Directions with those angles.  The only way
+        the package reads a provider."""
         if provider.axes is None:
             return Direction, self.reader(provider)
         return provider.axes(self.joint)
@@ -252,12 +254,14 @@ def inequality(kind: str) -> Inequality:
 
 def evaluate(provider: CorrelationProvider, kind: str,
              config: tuple[Direction, ...]) -> tuple[Inequality, float, float]:
-    """The spec of kind and its (lhs, rhs) at config; checks kind and arity."""
+    """The spec of kind and its (lhs, rhs) at config, read through the spec's
+    kernel with each direction prepared once; checks kind and arity."""
     spec = inequality(kind)
     if len(config) != spec.arity:
         raise ValueError(f"{kind} takes {spec.arity} directions, got {len(config)}")
-    pair = spec.reader(provider)
-    lhs, rhs = spec.sides(*[pair(config[i], config[j]) for i, j in spec.pairs])
+    prepare, pair = spec.kernel(provider)
+    factors = [prepare(d.theta, d.phi) for d in config]
+    lhs, rhs = spec.sides(*[pair(factors[i], factors[j]) for i, j in spec.pairs])
     return spec, lhs, rhs
 
 

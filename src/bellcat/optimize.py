@@ -8,11 +8,11 @@ simplex refinement converges quickly once the sweep lands in the right
 basin.
 
 Both stages read pair values through the inequality's kernel
-(Inequality.kernel): each direction is prepared once, into factors for a
-provider with an axes kernel or into a Direction for any other, and each
-pair the inequality reads combines two prepared directions.  Every value
-equals the one check and objective_value compute from Directions, bit for
-bit.  The sweep hands its rows out as one float64 block per grid point of
+(Inequality.kernel), as check does: each direction is prepared once, into
+factors for a provider with an axes kernel or into a Direction for any
+other, and each pair the inequality reads combines two prepared
+directions.  Every value equals the one check and objective_value compute
+from Directions, bit for bit.  The sweep hands its rows out as one float64 block per grid point of
 the first direction (grid_sweep's sink), never as a Python object per
 row, so a caller that keeps every row holds 8 B per row.
 """
@@ -36,6 +36,7 @@ __all__ = [
     "GridTooLargeError",
     "BudgetExceededError",
     "GRID_POINT_LIMIT",
+    "EXPORT_ROW_LIMIT",
     "EVALUATION_LIMIT",
     "SHOT_LIMIT",
     "COHERENT_DIM_LIMIT",
@@ -48,6 +49,9 @@ __all__ = [
 # Work limits, each checked before anything is drawn or allocated.
 # Hard ceiling on resolution**(2 * arity) grid combinations.
 GRID_POINT_LIMIT = 10**8
+# Ceiling on the rows of one sweep artifact (sweep --output), the same
+# resolution**(2 * arity); the sweep holds 8 B per row until it writes.
+EXPORT_ROW_LIMIT = 10**7
 # Ceiling on starts * max_iter in multistart_refine.
 EVALUATION_LIMIT = 10**7
 # Ceiling on the shots of one sample_outcomes call (about 5 ns each).
@@ -61,7 +65,8 @@ class GridTooLargeError(ValueError):
 
 
 class BudgetExceededError(ValueError):
-    """A request exceeds EVALUATION_LIMIT, SHOT_LIMIT or COHERENT_DIM_LIMIT."""
+    """A request exceeds EXPORT_ROW_LIMIT, EVALUATION_LIMIT, SHOT_LIMIT or
+    COHERENT_DIM_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,8 @@ def _flat_objective(provider: CorrelationProvider, kind: str,
     x is a list of Python floats, as _nelder_mead's simplex holds them.
     Equals objective_value(provider, kind, AngleConfig.from_flat(x)) bit
     for bit, errors included, for x of the kind's length; but each
-    direction is canonicalized and prepared once by the provider's kernel
-    (Inequality.kernel) instead of becoming a Direction per pair read.
+    direction's angles are canonicalized and handed to the kernel's
+    prepare without building a Direction first.
     """
     spec = inequality(kind)
     prepare, pair = spec.kernel(provider)
@@ -322,8 +327,9 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     evaluated, the trace is empty and converged is False.
 
     The start is scored by objective_value; every simplex point is scored
-    on its flat angle list by _flat_objective, which canonicalizes and
-    prepares each direction once and equals objective_value bit for bit.
+    on its flat angle list by _flat_objective, which equals objective_value
+    bit for bit.  If the final simplex minimum is NaN, which a custom
+    provider's NaN values can cause, the start and its value are returned.
     The simplex is Python lists, and its loop calls numpy only to re-sort
     (argsort) and for the final minimum.
     """
@@ -347,7 +353,7 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
                                      max_iter, on_iteration)
     best_config = AngleConfig.from_flat(x)
     best_value = -float(fun)
-    if start_value > best_value:
+    if start_value > best_value or math.isnan(best_value):
         best_config, best_value = start, start_value
     return OptimizationResult(
         kind, best_config, best_value, state["evals"], converged, tuple(trace),
@@ -362,8 +368,9 @@ def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
 
     Start k draws its angles from the deterministic uniform stream, so two
     runs with equal arguments agree bit for bit.  Ties keep the earliest
-    start.  Each random start is drawn just before it is refined, so memory
-    does not grow with n_starts.
+    start, and a run with a number beats one with NaN.  Each random start
+    is drawn just before it is refined, so memory does not grow with
+    n_starts.
 
     Raises
     ------
@@ -397,7 +404,8 @@ def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
     for start in starts():
         run = refine(provider, kind, start, max_iter=max_iter, tol=tol)
         evals += run.evaluations
-        if best is None or run.best_value > best.best_value:
+        if (best is None or run.best_value > best.best_value
+                or (math.isnan(best.best_value) and not math.isnan(run.best_value))):
             best = run
     assert best is not None
     return OptimizationResult(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +70,7 @@ class SpinQuantum:
     def is_integer(self) -> bool:
         return self.two_s % 2 == 0
 
-    @cached_property
+    @property
     def parity(self) -> int:
         """(-1)^(2s): +1 for integer spin, -1 for half-integer spin."""
         return 1 if self.two_s % 2 == 0 else -1

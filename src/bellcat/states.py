@@ -53,21 +53,21 @@ class CatCoefficients:
     def c2(self) -> complex:
         return math.sin(self.alpha) * cmath.exp(1j * self.gamma2)
 
-    @cached_property
+    @property
     def delta(self) -> float:
         return self.gamma1 - self.gamma2
 
-    @cached_property
+    @property
     def weight1(self) -> float:
         """|c1|^2 = cos(alpha)^2."""
         return math.cos(self.alpha) ** 2
 
-    @cached_property
+    @property
     def weight2(self) -> float:
         """|c2|^2 = sin(alpha)^2."""
         return math.sin(self.alpha) ** 2
 
-    @cached_property
+    @property
     def interference(self) -> float:
         """sin(2*alpha) = 2 cos(alpha) sin(alpha), the cross-term prefactor."""
         return math.sin(2.0 * self.alpha)

@@ -6,7 +6,9 @@ bellcat: product kets and the cat state's density dyads, the dense
 density matrix, coherent states built by rotation, spin moments, and the
 dyad-summation oracle for the diagonal elements.  It also keeps the
 numpy bookkeeping of the five sampling categories that bellcat replaced
-with float arithmetic, for bit-identity tests.  Tests import it the way
+with float arithmetic, and a per-pair reader loop for the inequality
+checks, which read providers through their kernels, for bit-identity
+tests.  Tests import it the way
 they import conftest (``from reference import ...``); pytest does not
 collect it.
 """
@@ -18,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bellcat import (CatState, DickeKet, Direction, SpinQuantum, coherent_state, sampling,
-                     spin_matrices)
+from bellcat import (AngleConfig, CatState, CorrelationProvider, DickeKet, Direction,
+                     InequalityReport, SpinQuantum, coherent_state, sampling, spin_matrices)
 from bellcat.correlations import _IMAG_TOL, DiagonalElements, InternalConsistencyError
+from bellcat.inequalities import VIOLATION_TOL, inequality
 
 
 # --- spins ----------------------------------------------------------------
@@ -251,3 +254,37 @@ def outcome_probabilities_numpy(state: CatState, a: Direction, b: Direction) -> 
             )
         probs[4] = 0.0 if leftover < sampling.PROB_SNAP else leftover
     return probs
+
+
+# --- inequalities ---------------------------------------------------------
+
+
+def reader_evaluate(provider: CorrelationProvider, kind: str,
+                    config: tuple[Direction, ...]) -> tuple:
+    """inequalities.evaluate as a per-pair reader loop: (spec, lhs, rhs).
+
+    Every pair the inequality reads calls the provider's reader on two
+    Directions, where evaluate prepares each direction once for the
+    provider's kernel; the two must agree bit for bit, errors included.
+    """
+    spec = inequality(kind)
+    if len(config) != spec.arity:
+        raise ValueError(f"{kind} takes {spec.arity} directions, got {len(config)}")
+    read = spec.reader(provider)
+    lhs, rhs = spec.sides(*[read(config[i], config[j]) for i, j in spec.pairs])
+    return spec, lhs, rhs
+
+
+def reader_check(provider: CorrelationProvider, kind: str,
+                 *config: Direction) -> InequalityReport:
+    """inequalities.check through reader_evaluate."""
+    spec, lhs, rhs = reader_evaluate(provider, kind, config)
+    margin = spec.margin(lhs, rhs)
+    return InequalityReport(kind, lhs, rhs, margin, margin < -VIOLATION_TOL, config)
+
+
+def reader_objective_value(provider: CorrelationProvider, kind: str,
+                           config: AngleConfig) -> float:
+    """optimize.objective_value through reader_evaluate."""
+    spec, lhs, rhs = reader_evaluate(provider, kind, config.directions)
+    return spec.objective(lhs, rhs)

@@ -77,6 +77,11 @@ class TestCorrelate:
         code, _ = run(capsys, "correlate", "--a", "0,0", "--b", "1,1")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["1,2,3", "1", ""])
+    def test_direction_needs_two_angles(self, capsys, text):
+        code, out = run(capsys, "correlate", "--two-s", "1", "--a", text, "--b", "0,0")
+        assert (code, out) == (2, "")
+
     def test_bad_angle_text(self, capsys):
         code, _ = run(capsys, "correlate", "--two-s", "1", "--a", "zero,0",
                       "--b", "1,1")
@@ -142,6 +147,16 @@ class TestConfigFile:
         code, _ = run(capsys, "correlate", "--config", str(cfg),
                       "--a", "0,0", "--b", "0,0")
         assert code == 2
+
+    @pytest.mark.parametrize("doc", [{"state": 1}, {"state": {"two_s": 1}, "sweep": [2]},
+                                     [{"state": {"two_s": 1}}], "x", 3])
+    def test_config_must_be_objects(self, capsys, tmp_path, doc):
+        # a section that is not an object, or a file whose top level is not
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        code, out = run(capsys, "correlate", "--config", str(cfg), "--two-s", "1",
+                        "--a", "0,0", "--b", "0,0")
+        assert (code, out) == (2, "")
 
     def test_malformed_json(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -272,6 +287,10 @@ class TestCheck:
         assert code == 10
         assert json.loads(out)["lhs"] == pytest.approx(2 * math.sqrt(2), abs=0.05)
 
+    def test_direction_beyond_the_arity(self, capsys):
+        code, out = run(capsys, "check", "--kind", "bell", "--two-s", "1", *TSIRELSON_FLAGS)
+        assert (code, out) == (2, "")
+
     def test_missing_kind(self, capsys):
         code, _ = run(capsys, "check", "--two-s", "1", *TSIRELSON_FLAGS)
         assert code == 2
@@ -389,6 +408,33 @@ class TestSweep:
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         assert captured.err.startswith("domain error: resolution 11")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_export_row_limit_checked_before_the_sweep(self, capsys, tmp_path, monkeypatch,
+                                                       source):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        def export(resolution, target):
+            cfg = tmp_path / "scenario.json"
+            cfg.write_text(json.dumps({"output": {"path": str(target)}}))
+            where = ["--output", str(target)] if source == "flag" else ["--config", str(cfg)]
+            return main(["sweep", "--kind", "bell", "--two-s", "1", "--resolution",
+                         str(resolution), *where])
+
+        monkeypatch.setattr("bellcat.cli.EXPORT_ROW_LIMIT", 4 ** 3)
+        code, out = run(capsys, "sweep", "--kind", "bell", "--two-s", "1", "--resolution", "3")
+        assert code == 0 and json.loads(out)["evaluations"] == 9 ** 3
+        assert export(2, tmp_path / "at_limit.json") == 0
+        assert len(json.loads((tmp_path / "at_limit.json").read_text())["rows"]) == 4 ** 3
+        capsys.readouterr()
+        monkeypatch.setattr("bellcat.cli.grid_sweep", no_sweep)
+        target = tmp_path / "over_limit.json"
+        code = export(3, target)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("domain error: resolution 3 gives 729 rows")
         assert not target.exists()
 
     def test_requires_resolution(self, capsys):
@@ -707,6 +753,23 @@ class TestCoherent:
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         assert "coherent-state limit" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--two-s", "3", "--a", "0.4,0.2", "--b", "2.1,5.0", "--mode", "postselected"],
+    ["check", "--kind", "wigner", "--two-s", "2", "--a", "0.3,0", "--b", "1.2,0.1",
+     "--c", "2.0,4.0", "--provider", "lc"],
+    ["sample", "--two-s", "1", "--a", "0,0", "--b", "1,1", "--n", "1000", "--seed", "3"],
+    ["optimize", "--kind", "chsh", "--two-s", "1", "--starts", "1", "--seed", "2",
+     "--max-iter", "20"],
+    ["coherent", "--two-s", "3", "--dir", "1,2", "--sign", "-"],
+], ids=lambda argv: argv[0])
+def test_json_artifact_is_the_printed_payload(capsys, tmp_path, argv):
+    target = tmp_path / "artifact.json"
+    code = main([*argv, "--output", str(target)])
+    out = capsys.readouterr().out
+    assert code in (0, 10)
+    assert target.read_bytes() == (json.dumps(json.loads(out), indent=2) + "\n").encode()
 
 
 class TestTopLevel:

@@ -5,7 +5,9 @@ elements and of correlation, as the library computed them before its
 scalar path moved to plain Python floats.  Every scalar reader must
 reproduce it exactly, including the sign of zeros and which inputs raise.
 The searches' kernels, the flat-angle objective and each provider's
-(prepare, pair), must in turn reproduce the Direction-based readers.
+(prepare, pair), must in turn reproduce the Direction-based readers, and
+check and objective_value, which read providers through the same
+kernels, the per-pair reader loop kept in tests/reference.py.
 """
 
 import math
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import reader_check, reader_objective_value
 
 from bellcat import (
     INEQUALITIES,
@@ -24,6 +27,7 @@ from bellcat import (
     DegeneratePostselectionError,
     Direction,
     SpinQuantum,
+    check,
     correlation,
     full_provider,
     lc_provider,
@@ -222,10 +226,56 @@ DEGENERATE = CatState(SpinQuantum(2), CatCoefficients(math.pi / 4))
          angles=[0.3, 0.2, math.pi / 2, 0.0, math.pi / 2, math.pi / 2] + [0.0] * 2)
 def test_flat_objective_matches_objective_value(state, kind, label, angles):
     x = np.array(angles[:2 * INEQUALITIES[kind].arity])
-    want = outcome(lambda: objective_value(PROVIDERS[label](state), kind,
-                                           AngleConfig.from_flat(x.copy())))
+    want = outcome(lambda: reader_objective_value(PROVIDERS[label](state), kind,
+                                                  AngleConfig.from_flat(x.copy())))
     got = outcome(_flat_objective(PROVIDERS[label](state), kind), x.tolist())
     assert same(got, want), (got, want)
+
+
+def without_axes(cat):
+    full = full_provider(cat, "postselected")
+    return CorrelationProvider("full", full.correlation, full.joint)
+
+
+# Every way a provider is read: the exact providers through their axes
+# kernels, the others through the Direction fallback, with or without joint.
+ORACLE_PROVIDERS = {
+    **PROVIDERS,
+    "sampled postselected": lambda cat: sampled_provider(cat, 40, 5, postselect=True),
+    "no axes": without_axes,
+    "no joint": lambda cat: CorrelationProvider("full", full_provider(cat).correlation),
+}
+
+
+def report_fields(report):
+    return (report.lhs, report.rhs, report.margin, report.violated)
+
+
+@settings(max_examples=400, deadline=None)
+@given(state=state, kind=st.sampled_from(sorted(INEQUALITIES)),
+       label=st.sampled_from(sorted(ORACLE_PROVIDERS)),
+       angles=st.lists(raw_angle, min_size=8, max_size=8))
+@example(state=DEGENERATE, kind="bell", label="postselected",
+         angles=[math.pi / 2, 0.0, math.pi / 2, math.pi / 2, 0.3, 0.2] + [0.0] * 2)
+@example(state=DEGENERATE, kind="wigner", label="no axes",
+         angles=[0.3, 0.2, math.pi / 2, 0.0, math.pi / 2, math.pi / 2] + [0.0] * 2)
+@example(state=DEGENERATE, kind="quadratic", label="sampled postselected",
+         angles=[0.3, 0.2, math.pi / 2, 0.0, math.pi / 2, math.pi / 2] + [0.0] * 2)
+@example(state=DEGENERATE, kind="wigner", label="no joint",
+         angles=[-0.0, 0.0, math.pi] * 2 + [0.0] * 2)
+def test_kernel_path_matches_reader_oracle(state, kind, label, angles):
+    x = angles[:2 * INEQUALITIES[kind].arity]
+    config = AngleConfig.from_flat(x)
+    make = ORACLE_PROVIDERS[label]
+    got = outcome(lambda: report_fields(check(make(state), kind, *config.directions)))
+    want = outcome(lambda: report_fields(reader_check(make(state), kind, *config.directions)))
+    assert same(got, want), (got, want)
+    if label == "no joint" and INEQUALITIES[kind].joint:
+        assert got == (ValueError, "provider 'full' supplies no joint probabilities")
+    want = outcome(reader_objective_value, make(state), kind, config)
+    for got in (outcome(objective_value, make(state), kind, config),
+                outcome(lambda: _flat_objective(make(state), kind)(x))):
+        assert same(got, want), (got, want)
 
 
 @kernel

@@ -48,6 +48,27 @@ def full_half():
     return full_provider(singlet(SpinQuantum(1)))
 
 
+def nan_region_provider():
+    """A provider whose values are NaN wherever the two axes read lie more
+    than 0.25 rad apart in theta; built-in providers never return NaN."""
+    full = full_provider(CatState(SpinQuantum(1), CatCoefficients(0.4, 0.2)), "postselected")
+
+    def holed(reader):
+        def read(a, b, *signs):
+            return math.nan if abs(a.theta - b.theta) > 0.25 else reader(a, b, *signs)
+        return read
+
+    return CorrelationProvider("full", holed(full.correlation), holed(full.joint))
+
+
+def nan_region_start(kind, spacing):
+    """A start whose thetas lie spacing apart around 1: with nan_region_provider,
+    spacing 0.1 scores a number and 1.0 scores NaN."""
+    rng = np.random.default_rng(len(kind))
+    return AngleConfig(tuple(Direction(1.0 + spacing * (k % 3 - 1), 2 * PI * rng.random())
+                             for k in range(INEQUALITIES[kind].arity)))
+
+
 class TestObjective:
     def test_chsh_at_known_optimum(self):
         assert objective_value(full_half(), "chsh", TSIRELSON) == pytest.approx(
@@ -116,6 +137,15 @@ class TestGridSweep:
     def test_budget_guard(self):
         with pytest.raises(GridTooLargeError):
             grid_sweep(full_half(), "chsh", 11)
+
+    def test_resolution_one_is_the_pole(self):
+        calls = []
+        result = grid_sweep(full_half(), "chsh", 1,
+                            sink=lambda *block_angles: calls.append(block_angles))
+        assert result.best_config == AngleConfig((Direction(0.0, 0.0),) * 4)
+        assert result.evaluations == 1
+        assert len(calls) == 1 and calls[0][1] == [(0.0, 0.0)]
+        assert calls[0][0].shape == (1, 1, 1)
 
     def test_sink_streams_every_combination(self):
         p = full_half()
@@ -186,6 +216,16 @@ class TestRefine:
     def test_arity_validation(self):
         with pytest.raises(ValueError):
             refine(full_half(), "bell", TSIRELSON)
+
+    @pytest.mark.parametrize("kind", sorted(INEQUALITIES))
+    def test_nan_minimum_returns_the_start(self, kind):
+        # every initial simplex holds a NaN vertex, so the final minimum is NaN
+        p = nan_region_provider()
+        start = nan_region_start(kind, 0.1)
+        start_value = objective_value(p, kind, start)
+        assert math.isfinite(start_value)
+        result = refine(p, kind, start, max_iter=1)
+        assert (result.best_config, result.best_value) == (start, start_value)
 
     @pytest.mark.parametrize("max_iter", [1, 2, 5, 30])
     def test_max_iter_counts_the_initial_simplex(self, max_iter):
@@ -329,6 +369,15 @@ class TestMultistart:
                                    20, seed=5)
         assert math.isfinite(result.best_value)
         assert result.best_value >= 1.0
+
+    @pytest.mark.parametrize("kind", sorted(INEQUALITIES))
+    def test_a_number_replaces_a_nan_best(self, kind):
+        p = nan_region_provider()
+        nan_start, start = nan_region_start(kind, 1.0), nan_region_start(kind, 0.1)
+        assert math.isnan(refine(p, kind, nan_start, max_iter=1).best_value)
+        result = multistart_refine(p, kind, 0, seed=1, max_iter=1,
+                                   extra_starts=(nan_start, start))
+        assert (result.best_config, result.best_value) == (start, objective_value(p, kind, start))
 
     def test_needs_at_least_one_start(self):
         with pytest.raises(ValueError):

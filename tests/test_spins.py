@@ -121,6 +121,15 @@ class TestCoherentStates:
             assert abs(down.amps[-1] - s.parity) < 1e-15
             assert np.all(down.amps[:-1] == 0.0)
 
+    @pytest.mark.parametrize("two_s", [61, 120])
+    def test_log_space_pole_has_one_amplitude(self, two_s):
+        # above 2s = 60 the amplitudes are assembled in log space, where the
+        # zero sin(theta/2) of the pole gives exact zeros, not log(0)
+        for sign in (+1, -1):
+            amps = coherent_state(SpinQuantum(two_s), Direction(0.0, 0.3), sign).amps
+            assert np.count_nonzero(amps) == 1
+            assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-15)
+
     def test_dimension_limit_checked_before_allocating(self, monkeypatch):
         def no_alloc(*args, **kwargs):
             raise AssertionError("amplitudes were allocated")
