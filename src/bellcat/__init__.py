@@ -11,85 +11,16 @@ inequality is ever violated, while half-integer s violates up to the
 Tsirelson bound, the difference being a (-1)^(2s) geometric phase.
 """
 
-from .correlations import (
-    CorrelationBreakdown,
-    DegeneratePostselectionError,
-    DiagonalElements,
-    InternalConsistencyError,
-    correlation,
-    lc_correlation_closed,
-    rho_elements_closed,
-    unrestricted_correlation,
-    wigner_joint,
-)
-from .inequalities import (
-    INEQUALITIES,
-    CorrelationProvider,
-    InequalityReport,
-    check,
-    full_provider,
-    lc_provider,
-    sampled_provider,
-)
-from .optimize import (
-    AngleConfig,
-    BudgetExceededError,
-    GridTooLargeError,
-    OptimizationResult,
-    grid_sweep,
-    multistart_refine,
-    objective_value,
-    refine,
-)
-from .sampling import (
-    CATEGORIES,
-    NegativeProbabilityError,
-    PhotonEmulation,
-    SampleStats,
-    UnsupportedScenarioError,
-    ZeroConclusiveError,
-    outcome_probabilities,
-    photon_emulation,
-    sample_outcomes,
-)
-from .spins import (
-    DegenerateTriangleError,
-    DickeKet,
-    Direction,
-    SpinMatrices,
-    SpinQuantum,
-    berry_area,
-    coherent_state,
-    overlap_plus,
-    spin_matrices,
-)
-from .states import (
-    CatCoefficients,
-    CatState,
-    singlet,
-)
+from .spins import *
+from .states import *
+from .correlations import *
+from .inequalities import *
+from .optimize import *
+from .sampling import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # spins
-    "SpinQuantum", "Direction", "DickeKet", "SpinMatrices", "DegenerateTriangleError",
-    "coherent_state", "spin_matrices", "overlap_plus", "berry_area",
-    # states
-    "CatCoefficients", "CatState", "singlet",
-    # correlations
-    "CorrelationBreakdown", "DiagonalElements", "DegeneratePostselectionError",
-    "InternalConsistencyError", "rho_elements_closed", "correlation",
-    "lc_correlation_closed", "wigner_joint", "unrestricted_correlation",
-    # inequalities
-    "CorrelationProvider", "InequalityReport", "lc_provider", "full_provider",
-    "sampled_provider", "check", "INEQUALITIES",
-    # optimize
-    "AngleConfig", "OptimizationResult", "GridTooLargeError", "BudgetExceededError",
-    "objective_value", "grid_sweep", "refine", "multistart_refine",
-    # sampling
-    "CATEGORIES", "SampleStats", "PhotonEmulation", "NegativeProbabilityError",
-    "ZeroConclusiveError", "UnsupportedScenarioError", "outcome_probabilities",
-    "sample_outcomes", "photon_emulation",
-]
+# Each module's __all__ is what the package exports; importing a submodule
+# binds its name here, so the lists are read from the modules themselves.
+__all__ = ["__version__", *spins.__all__, *states.__all__, *correlations.__all__,
+           *inequalities.__all__, *optimize.__all__, *sampling.__all__]

@@ -31,7 +31,7 @@ from . import __version__
 from .correlations import correlation
 from .inequalities import (INEQUALITIES, CorrelationProvider, check, full_provider,
                            lc_provider, sampled_provider)
-from .optimize import EXPORT_ROW_LIMIT, BudgetExceededError, grid_sweep, multistart_refine
+from .optimize import grid_sweep, multistart_refine
 from .sampling import CATEGORIES, photon_emulation, sample_outcomes
 from .spins import Direction, SpinQuantum, coherent_state
 from .states import CatCoefficients, CatState
@@ -305,12 +305,6 @@ def _cmd_sweep(args, cfg: dict) -> int:
     provider = _provider_from(args, cfg, state)
     kept: list = []
     path = _pick(args, cfg, "output", "output", "path")
-    rows = resolution ** (2 * INEQUALITIES[kind].arity)
-    if path and rows > EXPORT_ROW_LIMIT:
-        raise BudgetExceededError(
-            f"resolution {resolution} gives {rows:.3g} rows for a {kind} export, "
-            f"limit is {EXPORT_ROW_LIMIT:.0e}"
-        )
     result = grid_sweep(provider, kind, resolution,
                         sink=(lambda *block_angles: kept.append(block_angles)) if path else None)
     payload = {**result.to_dict(), "provenance": provider.provenance}

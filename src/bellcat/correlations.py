@@ -16,7 +16,7 @@ dyad-summation oracle in tests/reference.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
 
@@ -32,7 +32,6 @@ __all__ = [
     "InternalConsistencyError",
     "rho_elements_closed",
     "correlation",
-    "pair_kernel",
     "lc_correlation_closed",
     "wigner_joint",
     "unrestricted_correlation",
@@ -108,13 +107,8 @@ class CorrelationBreakdown:
         d["postselect_weight"], d["mode"] = postselect_weight, mode
 
     def to_dict(self) -> dict:
-        return {
-            "p_total": self.p_total,
-            "p_lc": self.p_lc,
-            "p_nlc": self.p_nlc,
-            "postselect_weight": self.postselect_weight,
-            "mode": self.mode,
-        }
+        return asdict(self)
+
 
 def _axis(two_s: int, theta: float, phi: float) -> tuple[float, float, float]:
     """One axis's factors in the closed forms: (K, G, phi) with
@@ -275,7 +269,15 @@ def _lc_axis(two_s: int, theta: float, phi: float = 0.0) -> float:
     return math.cos(theta / 2.0) ** (2 * two_s) - math.sin(theta / 2.0) ** (2 * two_s)
 
 
+# Outcome pairs in the order of the diagonal elements and sampling.CATEGORIES.
 _SIGN_INDEX = {(+1, +1): 0, (+1, -1): 1, (-1, +1): 2, (-1, -1): 3}
+
+
+def _sign_index(sign_a: int, sign_b: int) -> int:
+    key = (int(sign_a), int(sign_b))
+    if key not in _SIGN_INDEX:
+        raise ValueError(f"signs must be +1 or -1, got {key}")
+    return _SIGN_INDEX[key]
 
 
 def wigner_joint(state: CatState, a: Direction, b: Direction,
@@ -286,30 +288,21 @@ def wigner_joint(state: CatState, a: Direction, b: Direction,
     local hidden-variable mixture of the two branches would assign) or the
     full quantum value ("full").
     """
-    key = (int(sign_a), int(sign_b))
-    if key not in _SIGN_INDEX:
-        raise ValueError(f"signs must be +1 or -1, got {key}")
+    i = _sign_index(sign_a, sign_b)
     if part not in ("lc", "full"):
         raise ValueError(f"part must be 'lc' or 'full', got {part!r}")
     lc, nlc = _closed_parts(state, a, b)
-    i = _SIGN_INDEX[key]
     return lc[i] if part == "lc" else lc[i] + nlc[i]
 
 
-def unrestricted_correlation(state: CatState, a: Direction, b: Direction,
-                             normalization: str = "raw") -> float:
+def unrestricted_correlation(state: CatState, a: Direction, b: Direction) -> float:
     """Expectation <(S.a)(S.b)> without restricting to extremal outcomes.
 
     Computed directly from the spin matrices, so it holds for any cat
     coefficients.  For s >= 1 the closed result is
     -s^2 cos(theta_a) cos(theta_b); transverse spin components only
     connect m values differing by 1, and the two branches differ by 2s.
-    normalization="per_s2" divides by s^2 to compare across spins.
     """
-    if normalization not in ("raw", "per_s2"):
-        raise ValueError(
-            f"normalization must be 'raw' or 'per_s2', got {normalization!r}"
-        )
     mats = spin_matrices(state.s)
     op_a = mats.along(a)
     op_b = mats.along(b)
@@ -324,7 +317,4 @@ def unrestricted_correlation(state: CatState, a: Direction, b: Direction,
         raise InternalConsistencyError(
             f"unrestricted correlation has imaginary part {value.imag:.3e}"
         )
-    result = float(value.real)
-    if normalization == "per_s2":
-        result /= state.s.s ** 2
-    return result
+    return float(value.real)

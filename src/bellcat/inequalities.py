@@ -17,6 +17,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .correlations import (
+    _sign_index,
     correlation,
     lc_correlation_closed,
     pair_kernel,
@@ -33,12 +34,7 @@ __all__ = [
     "full_provider",
     "sampled_provider",
     "check",
-    "evaluate",
-    "Inequality",
     "INEQUALITIES",
-    "inequality",
-    "VIOLATION_TOL",
-    "SAMPLED_CACHE_LIMIT",
 ]
 
 VIOLATION_TOL = 1e-9
@@ -117,7 +113,7 @@ def sampled_provider(state: CatState, n: int, seed: int,
     the cache is drawn again from the same substream, to the same estimate.
     """
     from . import rng
-    from .sampling import sample_outcomes
+    from .sampling import CATEGORIES, sample_outcomes
 
     cache: dict[tuple[float, float, float, float], object] = {}
 
@@ -135,13 +131,11 @@ def sampled_provider(state: CatState, n: int, seed: int,
     def corr(a: Direction, b: Direction) -> float:
         return stats_for(a, b).estimate
 
-    labels = {(+1, +1): "++", (+1, -1): "+-", (-1, +1): "-+", (-1, -1): "--"}
-
     def joint(a: Direction, b: Direction, sign_a: int, sign_b: int) -> float:
+        label = CATEGORIES[_sign_index(sign_a, sign_b)]
         stats = stats_for(a, b)
-        count = stats.counts[labels[(int(sign_a), int(sign_b))]]
         denom = stats.n_conclusive if postselect else stats.n_total
-        return count / denom
+        return stats.counts[label] / denom
 
     return CorrelationProvider("sampled", corr, joint)
 

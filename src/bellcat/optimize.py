@@ -35,11 +35,6 @@ __all__ = [
     "OptimizationResult",
     "GridTooLargeError",
     "BudgetExceededError",
-    "GRID_POINT_LIMIT",
-    "EXPORT_ROW_LIMIT",
-    "EVALUATION_LIMIT",
-    "SHOT_LIMIT",
-    "COHERENT_DIM_LIMIT",
     "objective_value",
     "grid_sweep",
     "refine",
@@ -156,8 +151,6 @@ def _flat_objective(provider: CorrelationProvider, kind: str,
 
 
 def _grid_directions(resolution: int) -> list[Direction]:
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
     if resolution == 1:
         return [Direction(0.0, 0.0)]
     thetas = np.linspace(0.0, math.pi, resolution)
@@ -188,16 +181,25 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
 
     Raises
     ------
+    ValueError
+        If resolution < 1.
     GridTooLargeError
         If resolution**(2 * arity) exceeds GRID_POINT_LIMIT.
+    BudgetExceededError
+        If a sink is given and resolution**(2 * arity), the rows it
+        receives, exceeds EXPORT_ROW_LIMIT.
     """
     spec = inequality(kind)
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
     total = resolution ** (2 * spec.arity)
-    if total > GRID_POINT_LIMIT:
-        raise GridTooLargeError(
-            f"resolution {resolution} gives {total:.3g} combinations for {kind}, "
-            f"limit is {GRID_POINT_LIMIT:.0e}"
-        )
+    error, limit, what = ((GridTooLargeError, GRID_POINT_LIMIT, f"combinations for {kind}")
+                          if sink is None else
+                          (BudgetExceededError, EXPORT_ROW_LIMIT, f"rows for a {kind} export"))
+    if total > limit:
+        # a float holds at most about 1.8e308; an int past that cannot be formatted as one
+        shown = f"{total:.3g}" if total < 1e308 else "more than 1e+308"
+        raise error(f"resolution {resolution} gives {shown} {what}, limit is {limit:.0e}")
     dirs = _grid_directions(resolution)
     g = len(dirs)
     angles = [(d.theta, d.phi) for d in dirs]

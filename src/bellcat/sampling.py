@@ -13,7 +13,7 @@ angles, n, seed) tuple fixes the counts exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,14 +82,7 @@ class SampleStats:
         return self.n_total - self.counts["inconclusive"]
 
     def to_dict(self) -> dict:
-        return {
-            "n_total": self.n_total,
-            "counts": dict(self.counts),
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "seed": self.seed,
-            "postselect": self.postselect,
-        }
+        return asdict(self)
 
 
 def outcome_probabilities(state: CatState, a: Direction, b: Direction) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "SpinQuantum",
     "Direction",
-    "canonical_angles",
     "DickeKet",
     "SpinMatrices",
     "DegenerateTriangleError",
@@ -130,9 +129,6 @@ class Direction:
     def dot(self, other: "Direction") -> float:
         return float(np.dot(self.unit_vector(), other.unit_vector()))
 
-    def antipode(self) -> "Direction":
-        return Direction(math.pi - self.theta, self.phi + math.pi)
-
 
 @dataclass(frozen=True)
 class DickeKet:
@@ -152,16 +148,6 @@ class DickeKet:
             raise ValueError(f"expected {self.s.dim} amplitudes, got shape {a.shape}")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def amplitude(self, m: float) -> complex:
-        """Amplitude of the |s, m> component; m must be one of s, s-1, ..., -s."""
-        idx = self.s.s - m
-        if abs(idx - round(idx)) > 1e-12 or not 0 <= round(idx) < self.s.dim:
-            raise ValueError(f"m={m} is not a magnetic quantum number for 2s={self.s.two_s}")
-        return complex(self.amps[int(round(idx))])
 
 
 def _binom_halfpowers(two_s: int, k: int, cos_half: float, sin_half: float,

@@ -413,8 +413,8 @@ class TestSweep:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_export_row_limit_checked_before_the_sweep(self, capsys, tmp_path, monkeypatch,
                                                        source):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep ran")
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
 
         def export(resolution, target):
             cfg = tmp_path / "scenario.json"
@@ -423,18 +423,33 @@ class TestSweep:
             return main(["sweep", "--kind", "bell", "--two-s", "1", "--resolution",
                          str(resolution), *where])
 
-        monkeypatch.setattr("bellcat.cli.EXPORT_ROW_LIMIT", 4 ** 3)
+        monkeypatch.setattr("bellcat.optimize.EXPORT_ROW_LIMIT", 4 ** 3)
         code, out = run(capsys, "sweep", "--kind", "bell", "--two-s", "1", "--resolution", "3")
         assert code == 0 and json.loads(out)["evaluations"] == 9 ** 3
         assert export(2, tmp_path / "at_limit.json") == 0
         assert len(json.loads((tmp_path / "at_limit.json").read_text())["rows"]) == 4 ** 3
         capsys.readouterr()
-        monkeypatch.setattr("bellcat.cli.grid_sweep", no_sweep)
+        monkeypatch.setattr("bellcat.optimize._grid_directions", no_grid)
         target = tmp_path / "over_limit.json"
         code = export(3, target)
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         assert captured.err.startswith("domain error: resolution 3 gives 729 rows")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("output", [False, True], ids=["plain", "output"])
+    @pytest.mark.parametrize("resolution", ["-11", str(10 ** 41)])
+    def test_resolution_checked_before_the_size(self, capsys, tmp_path, resolution, output):
+        target = tmp_path / "x.csv"
+        code = main(["sweep", "--kind", "chsh", "--two-s", "1", "--resolution", resolution,
+                     *(["--output", str(target)] if output else [])])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        what = "rows for a chsh export" if output else "combinations for chsh"
+        assert captured.err == ("domain error: resolution must be >= 1, got -11\n"
+                                if resolution == "-11" else
+                                f"domain error: resolution {resolution} gives more than 1e+308 "
+                                f"{what}, limit is {'1e+07' if output else '1e+08'}\n")
         assert not target.exists()
 
     def test_requires_resolution(self, capsys):

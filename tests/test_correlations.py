@@ -300,13 +300,6 @@ class TestUnrestricted:
                     expected, abs=1e-12
                 )
 
-    def test_per_s2_normalization(self):
-        st = singlet(SpinQuantum(4))
-        a, b = Direction(0.3, 1.0), Direction(2.8, 0.2)
-        raw = unrestricted_correlation(st, a, b)
-        per = unrestricted_correlation(st, a, b, normalization="per_s2")
-        assert per == pytest.approx(raw / 4.0, rel=1e-13)
-
     def test_matches_dense_kron(self):
         from bellcat import spin_matrices
 
@@ -318,10 +311,6 @@ class TestUnrestricted:
         op = np.kron(mats.along(a), mats.along(b))
         dense = float(np.trace(rho @ op).real)
         assert unrestricted_correlation(st, a, b) == pytest.approx(dense, abs=1e-12)
-
-    def test_normalization_validated(self):
-        with pytest.raises(ValueError):
-            unrestricted_correlation(singlet(SpinQuantum(1)), EQ, EQ, normalization="x")
 
 
 class TestCorrelationProperties:

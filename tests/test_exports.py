@@ -1,7 +1,8 @@
 """The package's public names resolve, and so do the benchmark tracer's.
 
-Every name a module lists in __all__ must exist, and every top-level
-bellcat name must come from some submodule's __all__.  The benchmark's
+Every name a module lists in __all__ must exist, and bellcat.__all__ is
+the lists of the six library modules it re-exports, which together spell
+the package surface written out below.  The benchmark's
 tracer (bellbench/tracer.py) patches module bindings by name and fails
 on a missing one, so its tables are checked here too, without editing or
 running it.
@@ -34,6 +35,39 @@ def test_top_level_names_come_from_submodules():
     stray = [name for name in bellcat.__all__ if name != "__version__" and name not in exported]
     assert stray == []
     assert len(set(bellcat.__all__)) == len(bellcat.__all__)
+
+
+# The package surface, written out so that a change to any module's
+# __all__ that widens or narrows it fails here.
+PACKAGE_NAMES = {
+    "__version__",
+    # spins
+    "SpinQuantum", "Direction", "DickeKet", "SpinMatrices", "DegenerateTriangleError",
+    "coherent_state", "spin_matrices", "overlap_plus", "berry_area",
+    # states
+    "CatCoefficients", "CatState", "singlet",
+    # correlations
+    "CorrelationBreakdown", "DiagonalElements", "DegeneratePostselectionError",
+    "InternalConsistencyError", "rho_elements_closed", "correlation",
+    "lc_correlation_closed", "wigner_joint", "unrestricted_correlation",
+    # inequalities
+    "CorrelationProvider", "InequalityReport", "lc_provider", "full_provider",
+    "sampled_provider", "check", "INEQUALITIES",
+    # optimize
+    "AngleConfig", "OptimizationResult", "GridTooLargeError", "BudgetExceededError",
+    "objective_value", "grid_sweep", "refine", "multistart_refine",
+    # sampling
+    "CATEGORIES", "SampleStats", "PhotonEmulation", "NegativeProbabilityError",
+    "ZeroConclusiveError", "UnsupportedScenarioError", "outcome_probabilities",
+    "sample_outcomes", "photon_emulation",
+}
+
+
+def test_package_exports_are_the_modules_exports():
+    modules = [bellcat.spins, bellcat.states, bellcat.correlations, bellcat.inequalities,
+               bellcat.optimize, bellcat.sampling]
+    assert bellcat.__all__ == ["__version__", *(name for m in modules for name in m.__all__)]
+    assert set(bellcat.__all__) == PACKAGE_NAMES
 
 
 def test_tracer_bindings_exist():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,19 @@ class TestProviders:
             p.joint(a, b, sa, sb) for sa in (+1, -1) for sb in (+1, -1)
         )
         assert 0.0 <= total <= 1.0
+
+    @pytest.mark.parametrize("signs", [(0, 1), (1, 2), (-2, -1)])
+    def test_joint_rejects_bad_signs_before_drawing(self, monkeypatch, signs):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("shots were drawn")
+
+        monkeypatch.setattr("bellcat.sampling.sample_outcomes", no_draw)
+        st = singlet(SpinQuantum(2))
+        a, b = Direction(0.5, 0.1), Direction(1.1, 2.0)
+        for p in (lc_provider(st), full_provider(st), full_provider(st, "postselected"),
+                  sampled_provider(st, 100, 1), sampled_provider(st, 100, 1, postselect=True)):
+            with pytest.raises(ValueError, match=re.escape(f"signs must be +1 or -1, got {signs}")):
+                p.joint(a, b, *signs)
 
     def test_full_mode_validated(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,21 @@ class TestGridSweep:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             grid_sweep(full_half(), "bell", 0)
+        # the resolution is checked before the size, whose message formats any int
+        keep = lambda *block_angles: None
+        for sink in (None, keep):
+            with pytest.raises(ValueError, match="^resolution must be >= 1, got -11$"):
+                grid_sweep(full_half(), "chsh", -11, sink=sink)
+        huge = 10 ** 41
+        with pytest.raises(GridTooLargeError,
+                           match=f"^resolution {huge} gives more than 1e\\+308 combinations"):
+            grid_sweep(full_half(), "chsh", huge)
+        with pytest.raises(BudgetExceededError, match=f"^resolution {huge} gives 1e\\+246 rows"):
+            grid_sweep(full_half(), "bell", huge, sink=keep)
+        # rows handed to a sink are bound by the export limit
+        with pytest.raises(BudgetExceededError,
+                           match="^resolution 11 gives 2.14e\\+08 rows for a chsh export"):
+            grid_sweep(full_half(), "chsh", 11, sink=keep)
 
 
 class TestRefine:

@@ -103,10 +103,6 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction(0.0, math.inf)
 
-    def test_antipode(self):
-        d = Direction(0.8, 1.1)
-        assert d.dot(d.antipode()) == pytest.approx(-1.0, abs=1e-14)
-
 
 class TestCoherentStates:
     def test_north_pole_is_extreme(self):
@@ -170,7 +166,7 @@ class TestCoherentStates:
                 op = mats.along(d)
                 for sign in (+1, -1):
                     ket = coherent_state(s, d, sign)
-                    assert ket.norm() == pytest.approx(1.0, abs=1e-12)
+                    assert np.linalg.norm(ket.amps) == pytest.approx(1.0, abs=1e-12)
                     residual = op @ ket.amps - sign * s.s * ket.amps
                     assert np.max(np.abs(residual)) < 1e-12
 
@@ -216,7 +212,7 @@ class TestCoherentStates:
 
     def test_large_spin_stays_finite(self):
         ket = coherent_state(SpinQuantum(200), Direction(1.0, 2.0), +1)
-        assert ket.norm() == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(ket.amps) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestInner:
@@ -357,13 +353,6 @@ class TestSpinMoments:
 
 
 class TestDickeKet:
-    def test_amplitude_lookup(self):
-        ket = DickeKet(SpinQuantum(2), np.array([1.0, 2.0, 3.0]) / math.sqrt(14))
-        assert ket.amplitude(1.0).real == pytest.approx(1.0 / math.sqrt(14))
-        assert ket.amplitude(-1.0).real == pytest.approx(3.0 / math.sqrt(14))
-        with pytest.raises(ValueError):
-            ket.amplitude(0.5)
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             DickeKet(SpinQuantum(2), np.array([1.0, 0.0]))
