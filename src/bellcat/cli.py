@@ -1,9 +1,9 @@
 """Command line front end.
 
 Scenario options come from an optional JSON config file plus flags; flags
-win.  _FLAGS declares every flag once and _COMMANDS names the flags each
-subcommand takes; _CONFIG declares every config key with its JSON type or
-its allowed strings, and a config file is checked whole before any work.
+win.  One table, _OPTIONS, declares each option's flag, config keys, type,
+default and help; _COMMANDS names the options each subcommand takes, and a
+config file is checked whole, against the keys of _OPTIONS, before any work.
 Flags must be spelled in full.  Direction flags take "theta,phi" pairs in
 radians, or degrees with --degrees (config-file angles are always
 radians).  mode is read by correlate and the full provider, postselect by
@@ -43,28 +43,52 @@ class ConfigError(Exception):
     """Bad or missing configuration; maps to exit code 2."""
 
 
-_CHOICES = {
-    "kind": tuple(INEQUALITIES),
-    "provider": ("lc", "full", "sampled"),
-    "mode": ("raw", "postselected"),
-    "format": ("json", "csv"),
+# Every option once: dest -> (flag, config keys, type, default, help).  The
+# type holds for the flag and the config value: int (no true/false in a
+# config), float (any number), str, bool (a switch) or a tuple of allowed
+# strings.  Options with config keys default to None in argparse, so _pick
+# reads the config (the first key unless a call names one), then the default.
+_OPTIONS = {
+    "config": ("--config", "", str, None, "JSON config file; flags override it"),
+    "degrees": ("--degrees", "", bool, False, "direction flags are in degrees"),
+    "two_s": ("--two-s", "state.two_s", int, None, "twice the spin (1 for s=1/2)"),
+    "alpha": ("--alpha", "state.alpha", float, -math.pi / 4.0,
+              "branch mixing angle (default -pi/4)"),
+    "gamma1": ("--gamma1", "state.gamma1", float, 0.0, "first branch phase"),
+    "gamma2": ("--gamma2", "state.gamma2", float, 0.0, "second branch phase"),
+    **{x: (f"--{x}", "", str, None, f"direction {x} as theta,phi") for x in "abcd"},
+    "kind": ("--kind", "kind", tuple(INEQUALITIES), None, None),
+    "provider": ("--provider", "provider", ("lc", "full", "sampled"), "full", "default full"),
+    "mode": ("--mode", "mode", ("raw", "postselected"), "raw", "correlate, provider full"),
+    "n": ("--n", "sample.n", int, None, "shots, per pair for the sampled provider"),
+    "seed": ("--seed", "sample.seed optimize.seed", int, None,
+             "stream seed; for optimize also the starts"),
+    "postselect": ("--postselect", "sample.postselect", bool, False,
+                   "read by the sampled provider"),
+    "photon": ("--photon", "sample.photon", bool, False, "photon-pair estimators (2s=2)"),
+    "resolution": ("--resolution", "sweep.resolution optimize.resolution", int, None,
+                   "grid points per angle"),
+    "starts": ("--starts", "optimize.starts", int, None, "random starts"),
+    "max_iter": ("--max-iter", "optimize.max_iter", int, 2000, "default 2000"),
+    "tol": ("--tol", "optimize.tol", float, 1e-10, "default 1e-10"),
+    "dir": ("--dir", "", str, None, "direction as theta,phi"),
+    "sign": ("--sign", "", str, "+", "+ or -"),
+    "output": ("--output", "output.path", str, None, "write the result to this path"),
+    "format": ("--format", "output.format", ("json", "csv"), "json", "default json"),
 }
 
-# Every config key.  A section maps to its keys; a key maps to the JSON
-# type it takes (int excludes true/false, float takes any number) or to
-# the tuple of its allowed strings; angles is a list of [theta, phi] pairs.
-_CONFIG = {
-    "kind": _CHOICES["kind"],
-    "provider": _CHOICES["provider"],
-    "mode": _CHOICES["mode"],
-    "angles": list,
-    "state": {"two_s": int, "alpha": float, "gamma1": float, "gamma2": float},
-    "sweep": {"resolution": int},
-    "optimize": {"starts": int, "seed": int, "max_iter": int, "tol": float,
-                 "resolution": int},
-    "sample": {"n": int, "seed": int, "postselect": bool, "photon": bool},
-    "output": {"path": str, "format": _CHOICES["format"]},
-}
+
+def _config_spec() -> dict:
+    """Every config key and its type: those of _OPTIONS by section, and angles."""
+    spec: dict = {"angles": list}
+    for _flag, keys, kind, _default, _help in _OPTIONS.values():
+        for key in keys.split():
+            section, _, name = key.rpartition(".")
+            (spec.setdefault(section, {}) if section else spec)[name] = kind
+    return spec
+
+
+_CONFIG = _config_spec()
 _EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
              str: "a string", list: "a list of [theta, phi] number pairs"}
 
@@ -101,29 +125,27 @@ def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     _check_config(_CONFIG, cfg)
     return cfg
 
 
-def _pick(args, cfg: dict, flag: str, *keys: str, default=None, required=None):
-    """The value of flag if given, else the config value at keys, else default.
+def _pick(args, cfg: dict, dest: str, key: Optional[str] = None, required=None):
+    """The value of the dest flag if given, else the config value at key (by
+    default the option's first config key), else the option's default.
 
     Raises ConfigError(required) when that leaves no value and required is set.
     """
-    value = getattr(args, flag, None)
+    value = getattr(args, dest, None)
     if value is None:
-        *sections, key = keys
-        node = cfg
-        for section in sections:
-            node = node.get(section, {})
-        value = node.get(key, default)
+        _flag, keys, _kind, default, _help = _OPTIONS[dest]
+        section, _, name = (key or keys.split()[0]).rpartition(".")
+        value = (cfg.get(section, {}) if section else cfg).get(name, default)
     if value is None and required:
         raise ConfigError(required)
     return value
@@ -143,20 +165,17 @@ def _parse_pair(text: str, degrees: bool) -> tuple[float, float]:
 
 
 def _spin_from(args, cfg: dict) -> SpinQuantum:
-    return SpinQuantum(_pick(args, cfg, "two_s", "state", "two_s",
+    return SpinQuantum(_pick(args, cfg, "two_s",
                              required="two_s is required (--two-s or config state.two_s)"))
 
 
 def _state_from(args, cfg: dict) -> CatState:
-    alpha = _pick(args, cfg, "alpha", "state", "alpha", default=-math.pi / 4.0)
-    gamma1 = _pick(args, cfg, "gamma1", "state", "gamma1", default=0.0)
-    gamma2 = _pick(args, cfg, "gamma2", "state", "gamma2", default=0.0)
-    coeffs = CatCoefficients(float(alpha), float(gamma1), float(gamma2))
+    coeffs = CatCoefficients(*(float(_pick(args, cfg, x)) for x in ("alpha", "gamma1", "gamma2")))
     return CatState(_spin_from(args, cfg), coeffs)
 
 
 def _kind_of(args, cfg: dict) -> str:
-    return _pick(args, cfg, "kind", "kind", required="inequality kind is required (--kind)")
+    return _pick(args, cfg, "kind", required="inequality kind is required (--kind)")
 
 
 def _directions_from(args, cfg: dict, count: int) -> tuple[Direction, ...]:
@@ -177,8 +196,8 @@ def _directions_from(args, cfg: dict, count: int) -> tuple[Direction, ...]:
 
 
 def _provider_from(args, cfg: dict, state: CatState) -> CorrelationProvider:
-    name = _pick(args, cfg, "provider", "provider", default="full")
-    mode = _pick(args, cfg, "mode", "mode", default="raw")
+    name = _pick(args, cfg, "provider")
+    mode = _pick(args, cfg, "mode")
     if mode == "postselected" and name != "full":
         raise ConfigError(f"provider {name!r} ignores mode {mode!r}; only 'full' reads it")
     if args.postselect and name != "sampled":
@@ -187,10 +206,9 @@ def _provider_from(args, cfg: dict, state: CatState) -> CorrelationProvider:
         return lc_provider(state)
     if name == "full":
         return full_provider(state, mode=mode)
-    n = _pick(args, cfg, "n", "sample", "n", required="sampled provider requires --n")
-    seed = _pick(args, cfg, "seed", "sample", "seed",
-                 required="sampled provider requires an explicit --seed")
-    postselect = _pick(args, cfg, "postselect", "sample", "postselect", default=False)
+    n = _pick(args, cfg, "n", required="sampled provider requires --n")
+    seed = _pick(args, cfg, "seed", required="sampled provider requires an explicit --seed")
+    postselect = _pick(args, cfg, "postselect")
     return sampled_provider(state, n, seed, postselect=postselect)
 
 
@@ -246,38 +264,41 @@ def _sweep_pieces(fmt: str, kind: str, payload: dict, kept: list):
 
 
 def _emit(args, cfg: dict, payload: dict, header=None, rows=(), pieces=None) -> None:
-    """Print payload as JSON, then write the --output artifact if one is asked for.
+    """Stream payload to stdout as JSON, then write the --output artifact if asked for.
 
     The artifact is written piece by piece from pieces(fmt) when given;
     otherwise the JSON artifact is payload's, and the CSV artifact is the
     header line then one line per row.  A command that passes neither
     pieces nor a header calls _refuse_csv before any work.
     """
-    print(json.dumps(payload, indent=2))
-    path = _pick(args, cfg, "output", "output", "path")
+    # a few thousand chunks per write: with python -u each write is a system call
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    sys.stdout.writelines(iter(lambda: "".join(itertools.islice(chunks, 4096)), ""))
+    print()
+    path = _pick(args, cfg, "output")
     if not path:
         return
-    fmt = _pick(args, cfg, "format", "output", "format", default="json")
+    fmt = _pick(args, cfg, "format")
     with open(path, "w", encoding="utf-8") as fh:
         if pieces is not None:
             fh.writelines(pieces(fmt))
         elif fmt == "csv":
             fh.writelines(_csv_line(row) + "\n" for row in (header, *rows))
         else:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
 
 
 def _refuse_csv(args, cfg: dict) -> None:
     # For a command with no table: refuse a CSV artifact before any work.
-    if _pick(args, cfg, "output", "output", "path") and _pick(
-            args, cfg, "format", "output", "format") == "csv":
+    if _pick(args, cfg, "output") and _pick(args, cfg, "format") == "csv":
         raise ConfigError(f"{args.command} artifacts support only --format json")
 
 
 def _cmd_correlate(args, cfg: dict) -> int:
     state = _state_from(args, cfg)
     a, b = _directions_from(args, cfg, 2)
-    mode = _pick(args, cfg, "mode", "mode", default="raw")
+    mode = _pick(args, cfg, "mode")
     payload = correlation(state, a, b, mode=mode).to_dict()
     _emit(args, cfg, payload, list(payload), [payload.values()])
     return 0
@@ -300,11 +321,10 @@ def _cmd_check(args, cfg: dict) -> int:
 def _cmd_sweep(args, cfg: dict) -> int:
     state = _state_from(args, cfg)
     kind = _kind_of(args, cfg)
-    resolution = _pick(args, cfg, "resolution", "sweep", "resolution",
-                       required="sweep requires --resolution")
+    resolution = _pick(args, cfg, "resolution", required="sweep requires --resolution")
     provider = _provider_from(args, cfg, state)
     kept: list = []
-    path = _pick(args, cfg, "output", "output", "path")
+    path = _pick(args, cfg, "output")
     result = grid_sweep(provider, kind, resolution,
                         sink=(lambda *block_angles: kept.append(block_angles)) if path else None)
     payload = {**result.to_dict(), "provenance": provider.provenance}
@@ -316,13 +336,12 @@ def _cmd_optimize(args, cfg: dict) -> int:
     _refuse_csv(args, cfg)
     state = _state_from(args, cfg)
     kind = _kind_of(args, cfg)
-    starts = _pick(args, cfg, "starts", "optimize", "starts",
-                   required="optimize requires --starts")
-    seed = _pick(args, cfg, "seed", "optimize", "seed",
+    starts = _pick(args, cfg, "starts", required="optimize requires --starts")
+    seed = _pick(args, cfg, "seed", "optimize.seed",
                  required="optimize requires an explicit --seed")
-    max_iter = _pick(args, cfg, "max_iter", "optimize", "max_iter", default=2000)
-    tol = float(_pick(args, cfg, "tol", "optimize", "tol", default=1e-10))
-    resolution = _pick(args, cfg, "resolution", "optimize", "resolution")
+    max_iter = _pick(args, cfg, "max_iter")
+    tol = float(_pick(args, cfg, "tol"))
+    resolution = _pick(args, cfg, "resolution", "optimize.resolution")
     provider = _provider_from(args, cfg, state)
     extra = () if resolution is None else (grid_sweep(provider, kind, resolution).best_config,)
     result = multistart_refine(provider, kind, starts, seed, max_iter=max_iter, tol=tol,
@@ -334,11 +353,10 @@ def _cmd_optimize(args, cfg: dict) -> int:
 def _cmd_sample(args, cfg: dict) -> int:
     state = _state_from(args, cfg)
     a, b = _directions_from(args, cfg, 2)
-    n = _pick(args, cfg, "n", "sample", "n", required="sample requires --n")
-    seed = _pick(args, cfg, "seed", "sample", "seed",
-                 required="sample requires an explicit --seed")
-    postselect = _pick(args, cfg, "postselect", "sample", "postselect", default=False)
-    if _pick(args, cfg, "photon", "sample", "photon", default=False):
+    n = _pick(args, cfg, "n", required="sample requires --n")
+    seed = _pick(args, cfg, "seed", required="sample requires an explicit --seed")
+    postselect = _pick(args, cfg, "postselect")
+    if _pick(args, cfg, "photon"):
         if postselect:
             raise ConfigError("--photon ignores postselect; the photon emulation draws raw")
         record = photon_emulation(state, a, b, n, seed)
@@ -380,38 +398,10 @@ def _cmd_version(_args, _cfg: dict) -> int:
     return 0
 
 
-_STORE_TRUE = {"action": "store_true", "default": None}
-
-# Every flag once: dest -> (flag, argparse keyword arguments).
-_FLAGS = {
-    "config": ("--config", {"help": "JSON config file; flags override it"}),
-    "degrees": ("--degrees", {**_STORE_TRUE, "help": "direction flags are in degrees"}),
-    "two_s": ("--two-s", {"type": int, "help": "twice the spin (1 for s=1/2)"}),
-    "alpha": ("--alpha", {"type": float, "help": "branch mixing angle (default -pi/4)"}),
-    "gamma1": ("--gamma1", {"type": float, "help": "first branch phase"}),
-    "gamma2": ("--gamma2", {"type": float, "help": "second branch phase"}),
-    **{x: (f"--{x}", {"help": f"direction {x} as theta,phi"}) for x in "abcd"},
-    "kind": ("--kind", {"choices": _CHOICES["kind"]}),
-    "provider": ("--provider", {"choices": _CHOICES["provider"], "help": "default full"}),
-    "mode": ("--mode", {"choices": _CHOICES["mode"], "help": "correlate, provider full"}),
-    "n": ("--n", {"type": int, "help": "shots, per pair for the sampled provider"}),
-    "seed": ("--seed", {"type": int, "help": "stream seed; for optimize also the starts"}),
-    "postselect": ("--postselect", {**_STORE_TRUE, "help": "read by the sampled provider"}),
-    "photon": ("--photon", {**_STORE_TRUE, "help": "photon-pair estimators (2s=2)"}),
-    "resolution": ("--resolution", {"type": int, "help": "grid points per angle"}),
-    "starts": ("--starts", {"type": int, "help": "random starts"}),
-    "max_iter": ("--max-iter", {"type": int, "help": "default 2000"}),
-    "tol": ("--tol", {"type": float, "help": "default 1e-10"}),
-    "dir": ("--dir", {"help": "direction as theta,phi"}),
-    "sign": ("--sign", {"default": "+", "help": "+ or -"}),
-    "output": ("--output", {"help": "write the result to this path"}),
-    "format": ("--format", {"choices": _CHOICES["format"], "help": "default json"}),
-}
-
 _SCENARIO = "config degrees two_s alpha gamma1 gamma2 "
 _PROVIDER = "kind provider mode n seed postselect "
 
-# command -> (handler, help, the _FLAGS it takes)
+# command -> (handler, help, the _OPTIONS it takes)
 _COMMANDS = {
     "correlate": (_cmd_correlate, "correlation breakdown for two axes",
                   _SCENARIO + "a b mode output format"),
@@ -435,11 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bell-type inequality laboratory for bipartite spin-s cat states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_handler, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        for dest in flags.split():
-            flag, kwargs = _FLAGS[dest]
-            p.add_argument(flag, dest=dest, **kwargs)
+    for name, (_handler, summary, dests) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for dest in dests.split():
+            flag, keys, kind, default, help_text = _OPTIONS[dest]
+            typed = ({"action": "store_true"} if kind is bool
+                     else {"choices": kind} if isinstance(kind, tuple)
+                     else {} if kind is str else {"type": kind})
+            p.add_argument(flag, dest=dest, default=None if keys else default,
+                           help=help_text, **typed)
     return parser
 
 

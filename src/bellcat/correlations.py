@@ -274,10 +274,9 @@ _SIGN_INDEX = {(+1, +1): 0, (+1, -1): 1, (-1, +1): 2, (-1, -1): 3}
 
 
 def _sign_index(sign_a: int, sign_b: int) -> int:
-    key = (int(sign_a), int(sign_b))
-    if key not in _SIGN_INDEX:
-        raise ValueError(f"signs must be +1 or -1, got {key}")
-    return _SIGN_INDEX[key]
+    if (sign_a, sign_b) not in _SIGN_INDEX:
+        raise ValueError(f"signs must be +1 or -1, got {(sign_a, sign_b)}")
+    return _SIGN_INDEX[sign_a, sign_b]
 
 
 def wigner_joint(state: CatState, a: Direction, b: Direction,

@@ -1,5 +1,6 @@
 """Command line interface: parsing, exit codes, artifacts."""
 
+import contextlib
 import json
 import math
 import struct
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from bellcat import (CATEGORIES, INEQUALITIES, CatCoefficients, CatState, Direction,
                      SpinQuantum, check, correlation, full_provider, grid_sweep,
                      sample_outcomes, singlet)
-from bellcat.cli import _csv_line, _sweep_pieces, main
+from bellcat.cli import _CONFIG, _OPTIONS, _csv_line, _sweep_pieces, main
 
 PI = math.pi
 
@@ -35,6 +36,43 @@ def run(capsys, *argv):
 
 def flags_for(dirs):
     return [x for label, d in zip("abcd", dirs) for x in (f"--{label}", f"{d.theta},{d.phi}")]
+
+
+# Per command, flags that make a run succeed; a case below drops the flag it sets.
+BASES = {
+    "correlate": {"--two-s": "3", "--alpha": "0.5", "--gamma1": "0.2", "--gamma2": "-0.3",
+                  "--a": "0.4,0.2", "--b": "2.1,5.0", "--mode": "postselected",
+                  "--output": "artifact", "--format": "json"},
+    "check": {"--kind": "chsh", "--two-s": "1",
+              **dict(zip(TSIRELSON_FLAGS[::2], TSIRELSON_FLAGS[1::2]))},
+    "sweep": {"--kind": "chsh", "--two-s": "1", "--resolution": "2"},
+    "optimize": {"--kind": "chsh", "--two-s": "1", "--starts": "1", "--seed": "2",
+                 "--max-iter": "40"},
+    "sample": {"--two-s": "2", "--a": "0.4,0.2", "--b": "2.1,5.0", "--n": "300", "--seed": "5"},
+}
+
+# config key -> (command, a value, a different value)
+CONFIG_CASES = {
+    "kind": ("sweep", "quadratic", "chsh"),
+    "provider": ("check", "lc", "full"),
+    "mode": ("correlate", "raw", "postselected"),
+    "state.two_s": ("correlate", 1, 3),
+    "state.alpha": ("correlate", 0.3, -0.2),
+    "state.gamma1": ("correlate", 0.4, 1.1),
+    "state.gamma2": ("correlate", 0.4, 1.1),
+    "sweep.resolution": ("sweep", 3, 2),
+    "optimize.starts": ("optimize", 2, 1),
+    "optimize.seed": ("optimize", 3, 4),
+    "optimize.max_iter": ("optimize", 5, 50),
+    "optimize.tol": ("optimize", 0.1, 1e-10),
+    "optimize.resolution": ("optimize", 3, 2),
+    "sample.n": ("sample", 200, 300),
+    "sample.seed": ("sample", 6, 5),
+    "sample.postselect": ("sample", True, False),
+    "sample.photon": ("sample", True, False),
+    "output.path": ("correlate", "chosen", "other"),
+    "output.format": ("correlate", "csv", "json"),
+}
 
 
 class TestCorrelate:
@@ -113,6 +151,53 @@ class TestCorrelate:
 
 
 class TestConfigFile:
+    def test_config_keys_and_types(self):
+        assert _CONFIG == {
+            "kind": tuple(INEQUALITIES),
+            "provider": ("lc", "full", "sampled"),
+            "mode": ("raw", "postselected"),
+            "angles": list,
+            "state": {"two_s": int, "alpha": float, "gamma1": float, "gamma2": float},
+            "sweep": {"resolution": int},
+            "optimize": {"starts": int, "seed": int, "max_iter": int, "tol": float,
+                         "resolution": int},
+            "sample": {"n": int, "seed": int, "postselect": bool, "photon": bool},
+            "output": {"path": str, "format": ("json", "csv")},
+        }
+
+    @pytest.mark.parametrize("dest,key", [
+        (dest, key) for dest, (_flag, keys, *_) in _OPTIONS.items() for key in keys.split()
+    ], ids=lambda x: x)
+    def test_config_key_means_what_its_flag_means(self, capsys, tmp_path, monkeypatch,
+                                                 dest, key):
+        command, value, other = CONFIG_CASES[key]
+        flag = _OPTIONS[dest][0]
+        base = [command, *(x for item in BASES[command].items() if item[0] != flag
+                           for x in item)]
+
+        def given(v):
+            return [flag] if v is True else [] if v is False else [flag, str(v)]
+
+        def outcome(name, argv, config_value=None):
+            # exit code, stdout and the files written, run in a fresh directory
+            work = tmp_path / name
+            work.mkdir()
+            if config_value is not None:
+                section, _, leaf = key.rpartition(".")
+                doc = {section: {leaf: config_value}} if section else {leaf: config_value}
+                (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+                argv = [*argv, "--config", str(tmp_path / f"{name}.json")]
+            monkeypatch.chdir(work)
+            code = main(argv)
+            return code, capsys.readouterr().out, {p.name: p.read_bytes()
+                                                   for p in work.iterdir()}
+
+        by_flag = outcome("flag", [*base, *given(value)])
+        assert by_flag[0] in (0, 10)
+        assert outcome("config", base, value) == by_flag
+        assert outcome("both", [*base, *given(value)], other) == by_flag
+        assert outcome("other", base, other) != by_flag
+
     def test_config_supplies_everything(self, capsys, tmp_path):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({
@@ -755,6 +840,27 @@ class TestCoherent:
         code, _ = run(capsys, "coherent", "--two-s", "2", "--alpha", "0.3",
                       "--dir", "0,0")
         assert code == 2
+
+    def test_payload_is_streamed(self, tmp_path):
+        # The payload takes about 180 B per amplitude (a [re, im] list, an
+        # m value, the ket); its JSON text, held whole, took 350 B more.
+        # stdout goes to a file, as in a shell, so the capture is not counted.
+        two_s = 20000
+        argv = ["coherent", "--two-s", str(two_s), "--dir", "1,2"]
+        with open(tmp_path / "out.json", "w", encoding="utf-8") as fh, \
+                contextlib.redirect_stdout(fh):
+            assert main(argv) == 0  # first-call caches are not the payload's memory
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        text = (tmp_path / "out.json").read_text()  # both runs' output
+        half = len(text) // 2
+        assert text[half:] == text[:half]
+        assert len(json.loads(text[half:])["amplitudes"]) == two_s + 1
+        assert peak < 250 * (two_s + 1), f"peak {peak / (two_s + 1):.0f} B per amplitude"
 
     def test_dimension_limit_exits_3_before_allocating(self, capsys, monkeypatch):
         def no_alloc(*args, **kwargs):

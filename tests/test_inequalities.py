@@ -18,6 +18,7 @@ from bellcat import (
     lc_provider,
     sampled_provider,
     singlet,
+    wigner_joint,
 )
 
 PI = math.pi
@@ -118,7 +119,8 @@ class TestProviders:
         )
         assert 0.0 <= total <= 1.0
 
-    @pytest.mark.parametrize("signs", [(0, 1), (1, 2), (-2, -1)])
+    @pytest.mark.parametrize("signs", [(0, 1), (1, 2), (-2, -1), (1.7, -1.2), (1.9, "-1"),
+                                       (None, 1), (1, -0.5)])
     def test_joint_rejects_bad_signs_before_drawing(self, monkeypatch, signs):
         def no_draw(*args, **kwargs):
             raise AssertionError("shots were drawn")
@@ -126,10 +128,22 @@ class TestProviders:
         monkeypatch.setattr("bellcat.sampling.sample_outcomes", no_draw)
         st = singlet(SpinQuantum(2))
         a, b = Direction(0.5, 0.1), Direction(1.1, 2.0)
-        for p in (lc_provider(st), full_provider(st), full_provider(st, "postselected"),
-                  sampled_provider(st, 100, 1), sampled_provider(st, 100, 1, postselect=True)):
+        joints = [p.joint for p in (lc_provider(st), full_provider(st),
+                                    full_provider(st, "postselected"), sampled_provider(st, 100, 1),
+                                    sampled_provider(st, 100, 1, postselect=True))]
+        joints += [lambda a, b, sa, sb, part=part: wigner_joint(st, a, b, sa, sb, part)
+                   for part in ("lc", "full")]
+        for joint in joints:
             with pytest.raises(ValueError, match=re.escape(f"signs must be +1 or -1, got {signs}")):
-                p.joint(a, b, *signs)
+                joint(a, b, *signs)
+
+    def test_joint_takes_signs_equal_to_one(self):
+        # 1.0 and True equal 1, as coherent_state's sign check also accepts
+        st = singlet(SpinQuantum(2))
+        a, b = Direction(0.5, 0.1), Direction(1.1, 2.0)
+        for p in (lc_provider(st), full_provider(st), sampled_provider(st, 100, 1)):
+            assert p.joint(a, b, 1.0, -1.0) == p.joint(a, b, True, -True) == p.joint(a, b, 1, -1)
+        assert wigner_joint(st, a, b, True, -1.0, "full") == wigner_joint(st, a, b, 1, -1, "full")
 
     def test_full_mode_validated(self):
         with pytest.raises(ValueError):
