@@ -111,16 +111,28 @@ def sampled_provider(state: CatState, n: int, seed: int,
     pair reproduces its first estimate exactly.  Estimates are cached for
     the SAMPLED_CACHE_LIMIT most recently added pairs; a pair dropped from
     the cache is drawn again from the same substream, to the same estimate.
+
+    The provider counts the shots it draws.  A draw that would take the
+    total past optimize.SHOT_LIMIT raises BudgetExceededError before
+    drawing; cached pairs are still served, at no cost.
     """
-    from . import rng
+    from . import optimize, rng
     from .sampling import CATEGORIES, sample_outcomes
 
     cache: dict[tuple[float, float, float, float], object] = {}
+    drawn = 0
 
     def stats_for(a: Direction, b: Direction):
+        nonlocal drawn
         key = (a.theta, a.phi, b.theta, b.phi)
         hit = cache.get(key)
         if hit is None:
+            if drawn + n > optimize.SHOT_LIMIT:
+                raise optimize.BudgetExceededError(
+                    f"{n} more shots would take the sampled provider past the shot "
+                    f"limit {optimize.SHOT_LIMIT:.0e} ({drawn} drawn)"
+                )
+            drawn += n
             pair_seed = rng.derive(seed, *key)
             hit = sample_outcomes(state, a, b, n, pair_seed, postselect=postselect)
             if len(cache) >= SAMPLED_CACHE_LIMIT:

@@ -12,8 +12,10 @@ Both stages read pair values through the inequality's kernel
 factors for a provider with an axes kernel or into a Direction for any
 other, and each pair the inequality reads combines two prepared
 directions.  Every value equals the one check and objective_value compute
-from Directions, bit for bit.  The sweep hands its rows out as one float64 block per grid point of
-the first direction (grid_sweep's sink), never as a Python object per
+from Directions, bit for bit.  The sweep evaluates the inequality in
+sub-blocks of at most _SUB_BLOCK combinations, so its scratch does not grow
+with the grid.  It hands its rows out as one float64 block per grid point
+of the first direction (grid_sweep's sink), never as a Python object per
 row, so a caller that keeps every row holds 8 B per row.
 """
 
@@ -49,10 +51,16 @@ GRID_POINT_LIMIT = 10**8
 EXPORT_ROW_LIMIT = 10**7
 # Ceiling on starts * max_iter in multistart_refine.
 EVALUATION_LIMIT = 10**7
-# Ceiling on the shots of one sample_outcomes call (about 5 ns each).
+# Ceiling on the shots of one sample_outcomes call (about 5 ns each), and
+# on the total a sampled_provider draws.
 SHOT_LIMIT = 10**10
 # Ceiling on the dimension 2s + 1 of one spins.coherent_state ket.
 COHERENT_DIM_LIMIT = 10**6
+
+# Most combinations grid_sweep evaluates at once: each temporary the sides
+# make holds at most 128 KiB of float64, so the sweep's scratch stays in
+# cache and does not grow with the resolution.
+_SUB_BLOCK = 2**14
 
 
 class GridTooLargeError(ValueError):
@@ -166,18 +174,23 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
     """Exhaustive sweep over a (theta, phi) product grid per direction.
 
     The pair values the inequality reads are computed once per ordered
-    direction pair, and the spec's sides are evaluated on broadcast views
-    of that table, chunked over the first direction to bound memory, so
-    every row equals objective_value.  The winner is the lexicographically
-    first maximizing combination.
+    direction pair, into a (g, g) float64 table filled row by row, g grid
+    directions per axis.  The spec's sides are evaluated on broadcast views
+    of that table, one first direction at a time and, within it, in
+    sub-blocks along the second direction of at most _SUB_BLOCK elements
+    (at least one row), so the scratch does not grow with g**(arity - 1).
+    Every value equals objective_value.  The winner is the
+    lexicographically first combination with the largest value that is
+    not NaN, or the first combination if every value is NaN.
 
     sink, if given, is called once per grid index ia of the first
     direction, in order, as sink(block, angles).  block is the float64
-    array of shape (g,) * (arity - 1), g grid directions per axis, whose
-    element [j, k, ...] is the objective of directions (ia, j, k, ...);
+    array of shape (g,) * (arity - 1) whose element [j, k, ...] is the
+    objective of directions (ia, j, k, ...), filled from the sub-blocks;
     angles lists the g grid directions' canonical (theta, phi) pairs.  The
     blocks in call order, each in C index order, are every row in
     lexicographic order, and a caller that keeps them holds 8 B per row.
+    Without a sink no whole block is built.
 
     Raises
     ------
@@ -206,28 +219,50 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
 
     prepare, pair = spec.kernel(provider)
     factors = [prepare(d.theta, d.phi) for d in dirs]
-    table = np.array([[pair(fa, fb) for fb in factors] for fa in factors], dtype=float)
+    table = np.empty((g, g))
+    for ia, fa in enumerate(factors):
+        table[ia] = [pair(fa, fb) for fb in factors]
 
     # Block axes are directions 1..arity-1 with direction 0 fixed at ia.  A
     # pair (0, j) reads row ia of the table along axis j; a pair (i, j)
-    # reads the table, transposed if i > j, along axes i and j.
-    views = []
-    for i, j in spec.pairs:
-        axes = (j,) if i == 0 else (i, j)
-        index = tuple(slice(None) if k in axes else None for k in range(1, spec.arity))
-        views.append((i, j, index))
+    # reads the table, transposed if i > j, along axes i and j.  A sub-block
+    # takes rows start:start + step of axis 1, so each view along axis 1 is
+    # cut there.  The views' indices are built once per sub-block and serve
+    # every ia.
+    shape = (g,) * (spec.arity - 1)
+    step = max(1, _SUB_BLOCK // g ** (spec.arity - 2))
+    sub_blocks = []
+    for start in range(0, g, step):
+        views = []
+        for i, j in spec.pairs:
+            axes = (j,) if i == 0 else (i, j)
+            index = tuple((slice(start, start + step) if k == 1 else slice(None))
+                          if k in axes else None for k in range(1, spec.arity))
+            views.append((i == 0, table if i < j else table.T, index))
+        sub_blocks.append((start, views))
 
-    best_val = -math.inf
+    best_val = math.nan
     best_idx: tuple[int, ...] = ()
     for ia in range(g):
-        values = [(table[ia] if i == 0 else table if i < j else table.T)[index]
-                  for i, j, index in views]
-        block = spec.objective(*spec.sides(*values))
-        flat_pos = int(np.argmax(block))
-        val = float(block.flat[flat_pos])
-        if val > best_val:
-            best_val = val
-            best_idx = (ia, *np.unravel_index(flat_pos, block.shape))
+        row = table[ia]
+        block = None if sink is None else np.empty(shape)
+        for start, views in sub_blocks:
+            values = [(row if first else src)[index] for first, src, index in views]
+            sub = spec.objective(*spec.sides(*values))
+            if block is not None:
+                block[start:start + step] = sub
+            pos = int(sub.argmax())
+            val = sub.item(pos)
+            if math.isnan(val):
+                # argmax stops at the first NaN; take the first largest number instead
+                numbers = np.flatnonzero(~np.isnan(sub))
+                if numbers.size:
+                    pos = int(numbers[sub.flat[numbers].argmax()])
+                    val = sub.item(pos)
+            if (not best_idx or val > best_val
+                    or (math.isnan(best_val) and not math.isnan(val))):
+                row_index, *rest = np.unravel_index(pos, sub.shape)
+                best_val, best_idx = val, (ia, start + row_index, *rest)
         if sink is not None:
             sink(block, angles)
 

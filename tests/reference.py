@@ -8,20 +8,22 @@ dyad-summation oracle for the diagonal elements.  It also keeps the
 numpy bookkeeping of the five sampling categories that bellcat replaced
 with float arithmetic, and a per-pair reader loop for the inequality
 checks, which read providers through their kernels, for bit-identity
-tests.  Tests import it the way
-they import conftest (``from reference import ...``); pytest does not
-collect it.
+tests, and a sweep that scores every grid combination one at a time.
+Tests import it the way they import conftest
+(``from reference import ...``); pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from bellcat import (AngleConfig, CatState, CorrelationProvider, DickeKet, Direction,
-                     InequalityReport, SpinQuantum, coherent_state, sampling, spin_matrices)
+                     InequalityReport, SpinQuantum, coherent_state, objective_value, sampling,
+                     spin_matrices)
 from bellcat.correlations import _IMAG_TOL, DiagonalElements, InternalConsistencyError
 from bellcat.inequalities import VIOLATION_TOL, inequality
 
@@ -288,3 +290,29 @@ def reader_objective_value(provider: CorrelationProvider, kind: str,
     """optimize.objective_value through reader_evaluate."""
     spec, lhs, rhs = reader_evaluate(provider, kind, config.directions)
     return spec.objective(lhs, rhs)
+
+
+# --- optimize -------------------------------------------------------------
+
+
+def sweep_oracle(provider: CorrelationProvider, kind: str,
+                 resolution: int) -> tuple[float, AngleConfig]:
+    """optimize.grid_sweep's (best_value, best_config) by brute force.
+
+    objective_value at every combination of grid directions, listed in
+    lexicographic order; the winner is the first combination with the
+    largest value that is not NaN, or the first combination if every value
+    is NaN.  The grid is rebuilt here: theta on linspace(0, pi), phi on the
+    same inclusive spacing over 2 pi, and the pole alone at resolution 1.
+    """
+    if resolution == 1:
+        grid = [Direction(0.0, 0.0)]
+    else:
+        grid = [Direction(t, j * 2.0 * math.pi / (resolution - 1))
+                for t in np.linspace(0.0, math.pi, resolution) for j in range(resolution)]
+    configs = [AngleConfig(dirs)
+               for dirs in itertools.product(grid, repeat=inequality(kind).arity)]
+    values = [objective_value(provider, kind, config) for config in configs]
+    numbers = [v for v in values if not math.isnan(v)]
+    k = values.index(max(numbers)) if numbers else 0
+    return values[k], configs[k]

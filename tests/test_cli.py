@@ -426,6 +426,19 @@ class TestCheck:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("command", [["sweep", "--resolution", "3"],
+                                         ["optimize", "--starts", "1"]],
+                             ids=["sweep", "optimize"])
+    def test_sampled_provider_total_shots_exit_3(self, capsys, monkeypatch, command):
+        # the provider counts its shots; the second 600-shot pair would pass
+        # the limit, so nothing is printed
+        monkeypatch.setattr("bellcat.optimize.SHOT_LIMIT", 1000)
+        code = main([*command, "--kind", "chsh", "--two-s", "1", "--provider", "sampled",
+                     "--n", "600", "--seed", "7"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "shot limit" in captured.err
+
     def test_bell_rows_artifact(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         code, out = run(capsys, "sweep", "--kind", "bell", "--two-s", "1",

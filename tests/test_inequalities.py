@@ -110,6 +110,43 @@ class TestProviders:
         assert draws == expected
         assert len(draws) < len(asked)
 
+    def test_sampled_shots_are_bounded_in_total(self, monkeypatch):
+        import bellcat.sampling as sampling
+        from bellcat import BudgetExceededError, grid_sweep, optimize
+
+        draws = []
+
+        def counting(state, a, b, n, *args, **kwargs):
+            draws.append((a.theta, a.phi, b.theta, b.phi, n))
+            return real(state, a, b, n, *args, **kwargs)
+
+        st = singlet(SpinQuantum(1))
+        pole, other = Direction(0.0, 0.0), Direction(PI / 2, 0.0)
+        estimate = sampled_provider(st, 600, 7).correlation(pole, pole)
+        real = sampling.sample_outcomes
+        monkeypatch.setattr(sampling, "sample_outcomes", counting)
+        monkeypatch.setattr(optimize, "SHOT_LIMIT", 1000)
+        p = sampled_provider(st, 600, 7)
+        # a resolution-3 sweep reads 36 distinct pairs, 21,600 shots; the
+        # second draw would pass the limit and is refused before drawing
+        with pytest.raises(BudgetExceededError, match="shot limit"):
+            grid_sweep(p, "chsh", 3)
+        assert draws == [(0.0, 0.0, 0.0, 0.0, 600)]
+        # the pair drawn before the refusal is still served, at no cost
+        assert p.correlation(pole, pole) == estimate
+        assert p.joint(pole, pole, +1, +1) >= 0.0
+        with pytest.raises(BudgetExceededError, match="shot limit"):
+            p.correlation(pole, other)
+        assert len(draws) == 1
+        # the limit itself may be reached
+        monkeypatch.setattr(optimize, "SHOT_LIMIT", 1200)
+        p = sampled_provider(st, 600, 7)
+        p.correlation(pole, pole)
+        p.correlation(pole, other)
+        with pytest.raises(BudgetExceededError, match=r"\(1200 drawn\)"):
+            p.correlation(other, pole)
+        assert [d[-1] for d in draws] == [600] * 3
+
     def test_sampled_joint_sums_to_conclusive_fraction(self):
         st = singlet(SpinQuantum(2))
         p = sampled_provider(st, 4000, 9)

@@ -1,11 +1,14 @@
 """Grid sweep and simplex refinement."""
 
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import random_direction
+from reference import sweep_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +29,7 @@ from bellcat import (
     multistart_refine,
     objective_value,
     refine,
+    sampled_provider,
     singlet,
 )
 from bellcat import optimize, rng
@@ -59,6 +63,24 @@ def nan_region_provider():
         return read
 
     return CorrelationProvider("full", holed(full.correlation), holed(full.joint))
+
+
+def all_nan_provider():
+    """A provider whose every value is NaN."""
+    return CorrelationProvider("custom", lambda a, b: math.nan, lambda a, b, *signs: math.nan)
+
+
+def nan_at_pole_provider():
+    """The full provider of a 2s = 1 cat, but NaN wherever the first axis
+    read is the pole (0, 0); built-in providers never return NaN."""
+    full = full_provider(CatState(SpinQuantum(1), CatCoefficients(0.4, 0.2)))
+
+    def holed(reader):
+        def read(a, b, *signs):
+            return math.nan if (a.theta, a.phi) == (0.0, 0.0) else reader(a, b, *signs)
+        return read
+
+    return CorrelationProvider("custom", holed(full.correlation), holed(full.joint))
 
 
 def nan_region_start(kind, spacing):
@@ -194,6 +216,77 @@ class TestGridSweep:
         with pytest.raises(BudgetExceededError,
                            match="^resolution 11 gives 2.14e\\+08 rows for a chsh export"):
             grid_sweep(full_half(), "chsh", 11, sink=keep)
+
+
+    @pytest.mark.parametrize("provider", [all_nan_provider, nan_at_pole_provider],
+                             ids=["all NaN", "NaN at the pole"])
+    @pytest.mark.parametrize("kind", sorted(INEQUALITIES))
+    def test_nan_values_are_skipped(self, provider, kind):
+        # the winner is the first combination with the largest value that is
+        # not NaN, or the first combination if every value is NaN
+        p = provider()
+        for resolution in (2, 3):
+            value, config = sweep_oracle(p, kind, resolution)
+            result = grid_sweep(p, kind, resolution)
+            assert result.best_config == config
+            assert repr(result.best_value) == repr(value)
+            assert math.isnan(value) == (provider is all_nan_provider)
+            # the winner has the kind's arity, so it can be reported and refined
+            assert repr(result.report(p).lhs) == repr(check(p, kind, *config.directions).lhs)
+
+    def test_all_minus_inf_returns_the_first_combination(self, monkeypatch):
+        spec = INEQUALITIES["chsh"]
+        monkeypatch.setitem(INEQUALITIES, "chsh", dataclasses.replace(
+            spec, sides=lambda ab, ac, db, dc: (ab * 0.0 - math.inf, 2.0)))
+        result = grid_sweep(full_half(), "chsh", 3)
+        assert result.best_value == -math.inf
+        assert result.best_config == AngleConfig((Direction(0.0, 0.0),) * 4)
+        assert sweep_oracle(full_half(), "chsh", 3) == (-math.inf, result.best_config)
+
+    @pytest.mark.parametrize("sub_block", [1, 50])
+    @pytest.mark.parametrize("label", ["lc", "raw", "postselected", "sampled", "NaN at the pole"])
+    def test_sub_blocks_change_nothing(self, monkeypatch, label, sub_block):
+        # _SUB_BLOCK = 1 evaluates one row of the second direction at a time,
+        # 50 a few rows with a shorter last sub-block; the blocks handed to
+        # the sink and the results equal those of the default sub-blocks
+        state = CatState(SpinQuantum(2), CatCoefficients(0.7, 0.3, -0.4))
+        providers = {"lc": lambda: lc_provider(state),
+                     "raw": lambda: full_provider(state),
+                     "postselected": lambda: full_provider(state, "postselected"),
+                     "sampled": lambda: sampled_provider(state, 50, 3),
+                     "NaN at the pole": nan_at_pole_provider}
+
+        def sweep(kind, resolution):
+            blocks = []
+            streamed = grid_sweep(providers[label](), kind, resolution,
+                                  sink=lambda block, _angles: blocks.append(block))
+            alone = grid_sweep(providers[label](), kind, resolution)
+            assert repr(alone.to_dict()) == repr(streamed.to_dict())
+            assert all(b.dtype == np.float64 and b.flags.c_contiguous for b in blocks)
+            return [(b.shape, b.tobytes()) for b in blocks], repr(streamed.to_dict())
+
+        for kind in sorted(INEQUALITIES):
+            for resolution in (2, 3, 4):
+                default = sweep(kind, resolution)
+                with monkeypatch.context() as m:
+                    m.setattr(optimize, "_SUB_BLOCK", sub_block)
+                    assert sweep(kind, resolution) == default
+
+    @pytest.mark.parametrize("kind, resolution, limit_mb", [
+        ("chsh", 7, 1.0), ("chsh", 8, 1.0), ("chsh", 10, 1.0), ("quadratic", 21, 2.5)])
+    def test_scratch_does_not_grow_with_the_grid(self, kind, resolution, limit_mb):
+        # without a sink the sweep holds its g x g table and a few sub-blocks
+        # of at most _SUB_BLOCK elements, never a block per first direction
+        # (a CHSH block at resolution 10 is 8 MB); the lc provider keeps the
+        # traced table build short
+        p = lc_provider(CatState(SpinQuantum(2), CatCoefficients(0.7, 0.3, -0.4)))
+        tracemalloc.start()
+        try:
+            grid_sweep(p, kind, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
 
 
 class TestRefine:
@@ -512,3 +605,41 @@ class TestSearchGolden:
                                              max_iter=max_iter)):
                 h.update(repr(result.to_dict()).encode())
         assert h.hexdigest()[:32] == SEARCH_GOLDEN[(kind, two_s, label)]
+
+
+# Recorded before the sweep evaluated its blocks in sub-blocks: at these
+# resolutions a CHSH block spans several sub-blocks.  Each digest covers
+# every sweep value as little-endian float64 bytes, then the repr of the
+# result's to_dict().
+CHSH_SWEEP_GOLDEN = {
+    (6, 1, "raw"): "10a1b2a7fa82b5a2ef170b2e60280a08",
+    (6, 1, "postselected"): "4a06877d6472afac4f3aecc9a62fece8",
+    (6, 1, "lc"): "5f41c0081cd6ee64b8be10141ecc6705",
+    (6, 2, "raw"): "7bcc6f93e6a640127730039256467a7c",
+    (6, 2, "postselected"): "64adcda28826471d6ff2b20dd2a363a6",
+    (6, 2, "lc"): "5f41c0081cd6ee64b8be10141ecc6705",
+    (6, 3, "raw"): "a9623215899661e910e80a18e6ab2648",
+    (6, 3, "postselected"): "c35e6705081a4458a27d7eb0e3413b3d",
+    (6, 3, "lc"): "b042c2334607a1b055f438e99791c255",
+    (7, 1, "raw"): "0fa90345d314e44ecf921e47a651a270",
+    (7, 1, "postselected"): "40a691b5a99c3eb3d39a8908a056ca95",
+    (7, 1, "lc"): "f04fd9d7e4f6ff1f2ccb58567a650d15",
+    (7, 2, "raw"): "9d50febb0c1b3f8b13cc3a2b5b6d0b30",
+    (7, 2, "postselected"): "e5e6172c90045a5e07ee374b22eb6113",
+    (7, 2, "lc"): "bc375c32ca178b526cd683943e8e7189",
+    (7, 3, "raw"): "c788adff414baf12b4a6773e918ff609",
+    (7, 3, "postselected"): "ad01c664fe63340a4762e9f720c86a80",
+    (7, 3, "lc"): "75bdac139dfd30e6bf32486ffaab3e48",
+}
+
+
+class TestChshSweepGolden:
+    @pytest.mark.parametrize("resolution, two_s, label", list(CHSH_SWEEP_GOLDEN))
+    def test_sweep_results(self, resolution, two_s, label):
+        state = CatState(SpinQuantum(two_s), CatCoefficients(0.7, 0.3, -0.4))
+        provider = lc_provider(state) if label == "lc" else full_provider(state, label)
+        h = hashlib.sha256()
+        sweep = grid_sweep(provider, "chsh", resolution,
+                           sink=lambda block, _angles: h.update(block.astype("<f8").tobytes()))
+        h.update(repr(sweep.to_dict()).encode())
+        assert h.hexdigest()[:32] == CHSH_SWEEP_GOLDEN[(resolution, two_s, label)]
