@@ -5,8 +5,9 @@ exact local-model predictions, full quantum values, and Monte Carlo
 estimates.  A report's margin is positive when the inequality is satisfied
 with room to spare and negative when violated; "violated" applies a small
 tolerance so exact boundary cases do not flip on rounding.  Each
-inequality is one INEQUALITIES entry, which check and the searches in
-optimize both read, and each reads a provider through Inequality.kernel.
+inequality is one INEQUALITIES entry.  One evaluator reads it at a
+configuration's angles, through Inequality.kernel, for check and for the
+searches in optimize alike.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .correlations import (
     _sign_index,
@@ -24,7 +25,7 @@ from .correlations import (
     rho_elements_closed,
     wigner_joint,
 )
-from .spins import Direction
+from .spins import Direction, canonical_angles
 from .states import CatState
 
 __all__ = [
@@ -258,22 +259,36 @@ def inequality(kind: str) -> Inequality:
     return spec
 
 
-def evaluate(provider: CorrelationProvider, kind: str,
-             config: tuple[Direction, ...]) -> tuple[Inequality, float, float]:
-    """The spec of kind and its (lhs, rhs) at config, read through the spec's
-    kernel with each direction prepared once; checks kind and arity."""
+def evaluator(provider: CorrelationProvider, kind: str,
+              ) -> tuple[Inequality, Callable[[Sequence[float]], tuple]]:
+    """The spec of kind and its (lhs, rhs) as a function of one configuration's
+    interleaved angles (theta_1, phi_1, theta_2, phi_2, ...), any finite floats.
+
+    The function canonicalizes each direction's angles as Direction does,
+    prepares each direction once through the spec's kernel and reads each
+    pair from two prepared directions: it returns the reader's (lhs, rhs)
+    at the Directions with those angles, bit for bit, errors included.
+    check and both searches read every configuration through it.  Raises
+    ValueError for an unknown kind; the function raises it for a
+    configuration of the wrong arity.
+    """
     spec = inequality(kind)
-    if len(config) != spec.arity:
-        raise ValueError(f"{kind} takes {spec.arity} directions, got {len(config)}")
     prepare, pair = spec.kernel(provider)
-    factors = [prepare(d.theta, d.phi) for d in config]
-    lhs, rhs = spec.sides(*[pair(factors[i], factors[j]) for i, j in spec.pairs])
-    return spec, lhs, rhs
+    pairs, sides, size = spec.pairs, spec.sides, 2 * spec.arity
+
+    def lhs_rhs(x: Sequence[float]) -> tuple:
+        if len(x) != size:
+            raise ValueError(f"{kind} takes {size // 2} directions, got {len(x) // 2}")
+        factors = [prepare(*canonical_angles(x[k], x[k + 1])) for k in range(0, size, 2)]
+        return sides(*[pair(factors[i], factors[j]) for i, j in pairs])
+
+    return spec, lhs_rhs
 
 
 def check(provider: CorrelationProvider, kind: str,
           *config: Direction) -> InequalityReport:
     """Evaluate the named inequality at config and report its margin."""
-    spec, lhs, rhs = evaluate(provider, kind, config)
+    spec, lhs_rhs = evaluator(provider, kind)
+    lhs, rhs = lhs_rhs([v for d in config for v in (d.theta, d.phi)])
     margin = spec.margin(lhs, rhs)
     return InequalityReport(kind, lhs, rhs, margin, margin < -VIOLATION_TOL, config)

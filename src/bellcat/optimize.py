@@ -7,16 +7,16 @@ random multistarts.  The objective is smooth in the raw angles, so
 simplex refinement converges quickly once the sweep lands in the right
 basin.
 
-Both stages read pair values through the inequality's kernel
-(Inequality.kernel), as check does: each direction is prepared once, into
-factors for a provider with an axes kernel or into a Direction for any
-other, and each pair the inequality reads combines two prepared
-directions.  Every value equals the one check and objective_value compute
-from Directions, bit for bit.  The sweep evaluates the inequality in
-sub-blocks of at most _SUB_BLOCK combinations, so its scratch does not grow
-with the grid.  It hands its rows out as one float64 block per grid point
-of the first direction (grid_sweep's sink), never as a Python object per
-row, so a caller that keeps every row holds 8 B per row.
+check, objective_value and refine read each configuration through
+inequalities.evaluator, which prepares each direction once through the
+inequality's kernel (Inequality.kernel).  The sweep prepares each grid
+direction through the same kernel into a table of pair values, so every
+value it reports equals objective_value bit for bit.  It evaluates the
+inequality in sub-blocks of at most _SUB_BLOCK combinations, so its
+scratch does not grow with the grid.  It hands its rows out as one
+float64 block per grid point of the first direction (grid_sweep's sink),
+never as a Python object per row, so a caller that keeps every row holds
+8 B per row.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .inequalities import CorrelationProvider, InequalityReport, check, evaluate, inequality
-from .spins import Direction, canonical_angles
+from .inequalities import CorrelationProvider, InequalityReport, check, evaluator, inequality
+from .spins import Direction
 
 __all__ = [
     "AngleConfig",
@@ -133,29 +133,13 @@ def objective_value(provider: CorrelationProvider, kind: str,
     |combination| for chsh, the overshoot -margin for the other kinds
     (positive means violation).
     """
-    spec, lhs, rhs = evaluate(provider, kind, config.directions)
-    return spec.objective(lhs, rhs)
+    spec, lhs_rhs = evaluator(provider, kind)
+    return spec.objective(*lhs_rhs(config.flat()))
 
 
-def _flat_objective(provider: CorrelationProvider, kind: str,
-                    ) -> Callable[[list[float]], float]:
-    """objective_value as a function of the interleaved angles of one config.
-
-    x is a list of Python floats, as _nelder_mead's simplex holds them.
-    Equals objective_value(provider, kind, AngleConfig.from_flat(x)) bit
-    for bit, errors included, for x of the kind's length; but each
-    direction's angles are canonicalized and handed to the kernel's
-    prepare without building a Direction first.
-    """
-    spec = inequality(kind)
-    prepare, pair = spec.kernel(provider)
-    pairs, sides, objective = spec.pairs, spec.sides, spec.objective
-
-    def value(x: list[float]) -> float:
-        factors = [prepare(*canonical_angles(x[k], x[k + 1])) for k in range(0, len(x), 2)]
-        return objective(*sides(*[pair(factors[i], factors[j]) for i, j in pairs]))
-
-    return value
+def _better(value: float, best: float) -> bool:
+    """The searches' rule for a new best: a larger value, or a number over NaN."""
+    return value > best or (math.isnan(best) and not math.isnan(value))
 
 
 def _grid_directions(resolution: int) -> list[Direction]:
@@ -259,8 +243,7 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
                 if numbers.size:
                     pos = int(numbers[sub.flat[numbers].argmax()])
                     val = sub.item(pos)
-            if (not best_idx or val > best_val
-                    or (math.isnan(best_val) and not math.isnan(val))):
+            if not best_idx or _better(val, best_val):
                 row_index, *rest = np.unravel_index(pos, sub.shape)
                 best_val, best_idx = val, (ia, start + row_index, *rest)
         if sink is not None:
@@ -307,7 +290,10 @@ def _nelder_mead(f: Callable[[list[float]], float], sim: list[list[float]], fato
     iterations = 1
     while iterations < maxiter:
         best = fsim[0]
-        if all(abs(best - v) <= fatol for v in fsim[1:]):
+        # The reference's all(abs(best - v) <= fatol for v in fsim[1:]) on a
+        # list sorted with NaN last; the first term fails, as it does there,
+        # on two -inf values even when fatol is inf.
+        if fsim[1] - best <= fatol and fsim[-1] - best <= fatol:
             break
         xbar = sim[0]
         for row in sim[1:-1]:
@@ -363,28 +349,30 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     With max_iter=1 only the start and the dim + 1 simplex vertices are
     evaluated, the trace is empty and converged is False.
 
-    The start is scored by objective_value; every simplex point is scored
-    on its flat angle list by _flat_objective, which equals objective_value
-    bit for bit.  If the final simplex minimum is NaN, which a custom
+    The start and every simplex point are scored on their interleaved
+    angles by the kind's inequalities.evaluator, as objective_value scores
+    a configuration.  If the final simplex minimum is NaN, which a custom
     provider's NaN values can cause, the start and its value are returned.
     The simplex is Python lists, and its loop calls numpy only to re-sort
     (argsort) and for the final minimum.
     """
-    start_value = objective_value(provider, kind, start)
+    spec, lhs_rhs = evaluator(provider, kind)
+    objective = spec.objective
     x0 = start.flat()
-    objective = _flat_objective(provider, kind)
-    state = {"best": -math.inf, "evals": 1}
+    start_value = objective(*lhs_rhs(x0))
+    best, evals = -math.inf, 1
     trace: list[tuple[int, float]] = []
 
     def negated(x: list[float]) -> float:
-        value = objective(x)
-        state["evals"] += 1
-        if value > state["best"]:
-            state["best"] = value
+        nonlocal best, evals
+        value = objective(*lhs_rhs(x))
+        evals += 1
+        if value > best:
+            best = value
         return -value
 
     def on_iteration() -> None:
-        trace.append((len(trace), state["best"]))
+        trace.append((len(trace), best))
 
     x, fun, converged = _nelder_mead(negated, _simplex_around(x0, 0.1).tolist(), tol,
                                      max_iter, on_iteration)
@@ -392,9 +380,7 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     best_value = -float(fun)
     if start_value > best_value or math.isnan(best_value):
         best_config, best_value = start, start_value
-    return OptimizationResult(
-        kind, best_config, best_value, state["evals"], converged, tuple(trace),
-    )
+    return OptimizationResult(kind, best_config, best_value, evals, converged, tuple(trace))
 
 
 def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
@@ -441,8 +427,7 @@ def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
     for start in starts():
         run = refine(provider, kind, start, max_iter=max_iter, tol=tol)
         evals += run.evaluations
-        if (best is None or run.best_value > best.best_value
-                or (math.isnan(best.best_value) and not math.isnan(run.best_value))):
+        if best is None or _better(run.best_value, best.best_value):
             best = run
     assert best is not None
     return OptimizationResult(

@@ -263,11 +263,12 @@ def outcome_probabilities_numpy(state: CatState, a: Direction, b: Direction) -> 
 
 def reader_evaluate(provider: CorrelationProvider, kind: str,
                     config: tuple[Direction, ...]) -> tuple:
-    """inequalities.evaluate as a per-pair reader loop: (spec, lhs, rhs).
+    """(spec, lhs, rhs) at config as a per-pair reader loop.
 
     Every pair the inequality reads calls the provider's reader on two
-    Directions, where evaluate prepares each direction once for the
-    provider's kernel; the two must agree bit for bit, errors included.
+    Directions, where inequalities.evaluator prepares each direction once
+    for the provider's kernel; the two must agree bit for bit, errors
+    included.
     """
     spec = inequality(kind)
     if len(config) != spec.arity:
@@ -275,6 +276,17 @@ def reader_evaluate(provider: CorrelationProvider, kind: str,
     read = spec.reader(provider)
     lhs, rhs = spec.sides(*[read(config[i], config[j]) for i, j in spec.pairs])
     return spec, lhs, rhs
+
+
+def reader_sides(provider: CorrelationProvider, kind: str, x) -> tuple:
+    """inequalities.evaluator's (lhs, rhs) at the interleaved angles x.
+
+    The reader is fetched before any Direction is built, as the evaluator
+    fetches its kernel before it reads angles, so a provider without joint
+    probabilities fails first for a joint inequality.
+    """
+    inequality(kind).reader(provider)
+    return reader_evaluate(provider, kind, AngleConfig.from_flat(x).directions)[1:]
 
 
 def reader_check(provider: CorrelationProvider, kind: str,

@@ -10,13 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bellcat import (CATEGORIES, INEQUALITIES, CatCoefficients, CatState, Direction,
                      SpinQuantum, check, correlation, full_provider, grid_sweep,
                      sample_outcomes, singlet)
-from bellcat.cli import _CONFIG, _OPTIONS, _csv_line, _sweep_pieces, main
+from bellcat.cli import _COMMANDS, _CONFIG, _OPTIONS, _csv_line, _sweep_pieces, main
 
 PI = math.pi
 
@@ -952,3 +952,127 @@ class TestTopLevel:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+# --- the exit-code contract under fuzzed input ------------------------------
+
+# Edge values, for any flag or config key, and per type values a run accepts.
+EDGE_TEXT = ["nan", "inf", "-inf", "1e308", "-0", str(10 ** 30), str(10 ** 400), "", "x"]
+EDGE_JSON = [math.nan, math.inf, -math.inf, 1e308, -0.0, 10 ** 30, 10 ** 400, "", "x", None,
+             [], {}]
+# Relative to the test's working directory: a file, a file in a directory
+# that does not exist, and a directory.
+PATHS = ["out", "missing/out", "."]
+PAIRS = ["0.3,0.2", "1.2,4", "3.1,-2", "0,0"]
+VALID_TEXT = {int: ["0", "1", "2", "3", "-1", "2000"], float: ["0.5", "-0.3", "1e-10", "0"],
+              str: PAIRS}
+VALID_JSON = {int: [0, 1, 2, 3, -1, 2000], float: [0.5, -0.3, 1e-10, 2], bool: [True, False],
+              str: PATHS, list: [[[0.3, 0.2], [1.2, 4.0], [3.1, -2.0], [0.0, 0.0]],
+                                 [[0.3, math.inf]], [[1, 2, 3]], [[0.3, "x"]]]}
+# A run that succeeds per command; the fuzz changes a few of its flags.
+FUZZ_BASES = {**BASES, "coherent": {"--two-s": "3", "--dir": "1,2"}}
+
+
+def flag_value(dest, kind):
+    if isinstance(kind, tuple):
+        valid = list(kind)
+    else:
+        valid = {"output": PATHS, "sign": ["+", "-"]}.get(dest, VALID_TEXT[kind])
+    edge = st.sampled_from(EDGE_TEXT)
+    if dest in ("a", "b", "c", "d", "dir"):
+        edge = st.tuples(edge, st.sampled_from(EDGE_TEXT + ["1"])).map(",".join)
+    # two draws in three are edge values
+    return st.one_of(st.sampled_from(valid), edge, edge)
+
+
+FLAG_VALUES = {dest: flag_value(dest, kind)
+               for dest, (_flag, _keys, kind, _default, _help) in _OPTIONS.items()
+               if kind is not bool and dest != "config"}
+# (section, key or None, value) per config key of _CONFIG, and one unknown key
+CONFIG_VALUES = [
+    (section, name, st.one_of(st.sampled_from(list(kind) if isinstance(kind, tuple)
+                                              else VALID_JSON[kind]),
+                              st.sampled_from(EDGE_JSON)))
+    for section, node in [*_CONFIG.items(), ("x", int)]
+    for name, kind in (node.items() if isinstance(node, dict) else [(None, node)])
+]
+
+
+@st.composite
+def config_text(draw):
+    """A config object with up to three keys of CONFIG_VALUES, or now and
+    then text that is not a JSON object."""
+    cfg: dict = {}
+    for section, name, values in draw(st.lists(st.sampled_from(CONFIG_VALUES), max_size=3,
+                                                unique=True)):
+        value = draw(values)
+        if name is None:
+            cfg[section] = value
+        else:
+            cfg.setdefault(section, {})[name] = value
+    return draw(st.sampled_from([json.dumps(cfg)] * 6 + ["{", "[1]"]))
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, config file text or None): a command's FUZZ_BASES flags, maybe
+    an artifact, up to four of its options set to a drawn value, dropped or
+    switched, and maybe a config file."""
+    command = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    flags = dict(FUZZ_BASES[command])
+    # an artifact is written after the payload is printed
+    fmt = draw(st.sampled_from([None, None, "json", "csv"]))
+    if fmt:
+        flags.update({"--output": draw(st.sampled_from(PATHS)), "--format": fmt})
+    options = [dest for dest in _COMMANDS[command][2].split() if dest != "config"]
+    for dest in draw(st.lists(st.sampled_from(options), max_size=4)):
+        flag = _OPTIONS[dest][0]
+        values = FLAG_VALUES.get(dest)
+        if flag in flags and (values is None or not draw(st.integers(0, 4))):
+            del flags[flag]
+        else:
+            flags[flag] = None if values is None else draw(values)
+    argv = [command]
+    for flag, value in flags.items():
+        # the joined form passes a value such as -inf, which argparse
+        # otherwise takes for an option
+        argv += ([flag] if value is None else [f"{flag}={value}"] if draw(st.booleans())
+                 else [flag, value])
+    text = draw(st.one_of(st.none(), st.none(), config_text()))
+    if text is not None:
+        argv += ["--config", draw(st.sampled_from(["config.json"] * 6 + ["absent"]))]
+    return argv, text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run_=cli_runs())
+@example(run_=(["correlate", "--two-s", str(10 ** 400), "--a", "0,0", "--b", "1,1"], None))
+@example(run_=(["sweep", "--kind", "chsh", "--two-s", "1", f"--resolution={10 ** 400}"], None))
+@example(run_=(["optimize", "--kind", "chsh", "--two-s", "1", "--starts", "1", "--seed", "2",
+                "--output", "out", "--format", "csv"], None))
+@example(run_=(["check", "--kind", "bell", "--two-s", "2", "--a=-inf,0", "--b", "1e308,-0",
+                "--c", ",x"], None))
+@example(run_=(["sample", "--two-s", "2", "--a", "0,0", "--b", "1,1", "--n", "-0", "--seed", "1",
+                "--config", "config.json"], '{"state": {"alpha": NaN, "gamma1": -Infinity}}'))
+@example(run_=(["coherent", "--two-s", "3", "--dir", "nan,1", "--output", "."], None))
+def test_exit_codes_and_stdout_hold_for_any_input(capsys, tmp_path, monkeypatch, run_):
+    """Exit 0, 2, 3, 4 or 10, nothing raised past main, JSON on stdout on 0
+    and 10, nothing on 2 and 3."""
+    argv, text = run_
+    for name, value in (("GRID_POINT_LIMIT", 10 ** 4), ("EXPORT_ROW_LIMIT", 10 ** 4),
+                        ("EVALUATION_LIMIT", 2000), ("SHOT_LIMIT", 2000),
+                        ("COHERENT_DIM_LIMIT", 100)):
+        monkeypatch.setattr(f"bellcat.optimize.{name}", value)
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "config.json").write_text(text)
+    capsys.readouterr()
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3, 4, 10), (argv, text, code)
+    if code in (2, 3):
+        assert out == "", (argv, text, code)
+    elif code != 4 or out:
+        # on 4 the payload may precede the I/O error of an artifact
+        json.loads(out)

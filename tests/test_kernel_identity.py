@@ -4,10 +4,10 @@ The reference below is the array form of the closed-form diagonal
 elements and of correlation, as the library computed them before its
 scalar path moved to plain Python floats.  Every scalar reader must
 reproduce it exactly, including the sign of zeros and which inputs raise.
-The searches' kernels, the flat-angle objective and each provider's
-(prepare, pair), must in turn reproduce the Direction-based readers, and
-check and objective_value, which read providers through the same
-kernels, the per-pair reader loop kept in tests/reference.py.
+Each provider's (prepare, pair) must in turn reproduce the
+Direction-based readers, and the evaluator that check, objective_value
+and the searches read configurations through, fed raw angles, the
+per-pair reader loop kept in tests/reference.py.
 """
 
 import math
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import reader_check, reader_objective_value
+from reference import reader_check, reader_objective_value, reader_sides
 
 from bellcat import (
     INEQUALITIES,
@@ -37,7 +37,7 @@ from bellcat import (
     wigner_joint,
 )
 from bellcat.correlations import WEIGHT_TOL
-from bellcat.optimize import _flat_objective
+from bellcat.inequalities import evaluator
 
 SIGNS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
@@ -203,33 +203,18 @@ PROVIDERS = {
     "lc": lc_provider,
     "sampled": lambda cat: sampled_provider(cat, 40, 5),
 }
-# Poles, theta outside [0, pi], negative and tiny negative phi, signed zeros,
-# subnormals; the flat objective also sees non-finite angles.
+# Poles, theta outside [0, pi], angles past +-2 pi, negative and tiny negative
+# phi, signed zeros, subnormals; the evaluator also sees non-finite angles.
 raw_angle = st.one_of(
     st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, -math.pi, 1.5 * math.pi,
-                     2 * math.pi, -1e-20, 5e-324, -5e-324, 7.0, -2.5]),
+                     2 * math.pi, -2 * math.pi, 4 * math.pi, -1e-20, 5e-324, -5e-324,
+                     7.0, -7.0, -2.5]),
     st.floats(-20.0, 20.0),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 flat_angle = st.one_of(raw_angle, st.sampled_from([math.inf, -math.inf, math.nan]))
 # a = (pi/2, 0), b = (pi/2, pi/2) at 2s = 2, alpha = pi/4: conclusive weight 0.0
 DEGENERATE = CatState(SpinQuantum(2), CatCoefficients(math.pi / 4))
-
-
-@settings(max_examples=400, deadline=None)
-@given(state=state, kind=st.sampled_from(sorted(INEQUALITIES)),
-       label=st.sampled_from(sorted(PROVIDERS)),
-       angles=st.lists(flat_angle, min_size=8, max_size=8))
-@example(state=DEGENERATE, kind="bell", label="postselected",
-         angles=[math.pi / 2, 0.0, math.pi / 2, math.pi / 2, 0.3, 0.2] + [0.0] * 2)
-@example(state=DEGENERATE, kind="wigner", label="postselected",
-         angles=[0.3, 0.2, math.pi / 2, 0.0, math.pi / 2, math.pi / 2] + [0.0] * 2)
-def test_flat_objective_matches_objective_value(state, kind, label, angles):
-    x = np.array(angles[:2 * INEQUALITIES[kind].arity])
-    want = outcome(lambda: reader_objective_value(PROVIDERS[label](state), kind,
-                                                  AngleConfig.from_flat(x.copy())))
-    got = outcome(_flat_objective(PROVIDERS[label](state), kind), x.tolist())
-    assert same(got, want), (got, want)
 
 
 def without_axes(cat):
@@ -249,6 +234,37 @@ ORACLE_PROVIDERS = {
 
 def report_fields(report):
     return (report.lhs, report.rhs, report.margin, report.violated)
+
+
+def evaluated(provider, kind, x):
+    return evaluator(provider, kind)[1](x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(state=state, kind=st.sampled_from(sorted(INEQUALITIES)),
+       label=st.sampled_from(sorted(ORACLE_PROVIDERS)),
+       angles=st.lists(flat_angle, min_size=8, max_size=8))
+@example(state=DEGENERATE, kind="bell", label="postselected",
+         angles=[math.pi / 2, 0.0, math.pi / 2, math.pi / 2, 0.3, 0.2] + [0.0] * 2)
+@example(state=DEGENERATE, kind="wigner", label="postselected",
+         angles=[0.3, 0.2, math.pi / 2, 0.0, math.pi / 2, math.pi / 2] + [0.0] * 2)
+@example(state=DEGENERATE, kind="wigner", label="no axes",
+         angles=[0.3, 0.2 - 2 * math.pi, -1.5 * math.pi, 4 * math.pi, math.pi / 2,
+                 -7 * math.pi / 2] + [0.0] * 2)
+@example(state=DEGENERATE, kind="quadratic", label="sampled postselected",
+         angles=[-0.0, -0.0, math.pi, -0.0, 2 * math.pi, -1e-20] + [0.0] * 2)
+@example(state=DEGENERATE, kind="wigner", label="no joint",
+         angles=[math.inf, 0.0, 0.3, 0.2, 0.1, 0.0] + [0.0] * 2)
+@example(state=DEGENERATE, kind="chsh", label="lc",
+         angles=[0.1, math.nan, 0.3, 0.2, 0.1, 0.0, 1.0, 2.0])
+def test_evaluator_matches_reader_oracle(state, kind, label, angles):
+    x = angles[:2 * INEQUALITIES[kind].arity]
+    make = ORACLE_PROVIDERS[label]
+    got = outcome(evaluated, make(state), kind, x)
+    want = outcome(reader_sides, make(state), kind, x)
+    assert same(got, want), (got, want)
+    # numpy angles, as refine's start passes them, read the same
+    assert same(outcome(evaluated, make(state), kind, np.array(x)), want)
 
 
 @settings(max_examples=400, deadline=None)
@@ -273,9 +289,8 @@ def test_kernel_path_matches_reader_oracle(state, kind, label, angles):
     if label == "no joint" and INEQUALITIES[kind].joint:
         assert got == (ValueError, "provider 'full' supplies no joint probabilities")
     want = outcome(reader_objective_value, make(state), kind, config)
-    for got in (outcome(objective_value, make(state), kind, config),
-                outcome(lambda: _flat_objective(make(state), kind)(x))):
-        assert same(got, want), (got, want)
+    got = outcome(objective_value, make(state), kind, config)
+    assert same(got, want), (got, want)
 
 
 @kernel

@@ -448,6 +448,41 @@ class TestNelderMeadReference:
         assert any(math.isfinite(v) for v in values)
 
 
+    def test_tied_minus_infinities_keep_the_search_going(self):
+        # Two vertices at -inf and one finite, with fatol = inf: the spread
+        # to the last vertex is inf, but -inf - -inf is NaN, which fails
+        # scipy's spread test, so scipy steps on and so must the port.
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        x0 = np.zeros(2)
+        sim = _simplex_around(x0, 0.1)
+
+        def run(minimize, max_iter):
+            calls = []
+
+            def f(x):
+                calls.append(np.asarray(x).tobytes())
+                return -math.inf if x[0] + x[1] > 0.05 else float(x[0] - x[1])
+
+            x, fun, converged = minimize(f, max_iter)
+            return np.asarray(x).tobytes(), repr(float(fun)), converged, calls
+
+        def reference(f, max_iter):
+            with np.errstate(invalid="ignore"):
+                res = scipy_optimize.minimize(
+                    f, x0, method="Nelder-Mead",
+                    options={"initial_simplex": sim, "fatol": np.inf, "xatol": np.inf,
+                             "maxiter": max_iter, "maxfev": 10**9})
+            return res.x, res.fun, bool(res.success)
+
+        def ours(f, max_iter):
+            return _nelder_mead(f, sim.tolist(), math.inf, max_iter, lambda: None)
+
+        for max_iter in (2, 3, 7):
+            got = run(ours, max_iter)
+            assert got == run(reference, max_iter)
+            assert len(got[3]) > 3
+
+
 class TestMultistart:
     def test_reaches_tsirelson(self):
         result = multistart_refine(full_half(), "chsh", 20, seed=7)

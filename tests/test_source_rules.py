@@ -5,6 +5,11 @@ summation, so a sum() in the package would change results with the
 interpreter version.  Additions whose bits matter are written out in a
 fixed order instead (see correlations._weight and optimize._nelder_mead's
 centroid).
+
+Each inequality is read in one place: inequalities.evaluator reads it at
+one configuration for check and the searches, and optimize.grid_sweep
+reads it on its broadcast pair table.  No other function in the package
+touches an Inequality's kernel or sides.
 """
 
 import ast
@@ -32,3 +37,26 @@ def test_no_builtin_sum(path):
 def test_the_rule_sees_calls_and_references():
     tree = ast.parse("a = sum(xs)\nb = map(sum, rows)\nc = xs.sum()\nd = np.sum(xs)\n")
     assert builtin_sum_uses(tree) == [1, 2]
+
+
+def kernel_readers(tree: ast.Module) -> list[str]:
+    """Top-level functions and classes that read an attribute named kernel or
+    sides: a call such as spec.kernel(provider), or a reference."""
+    return [top.name for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and any(isinstance(node, ast.Attribute) and node.attr in ("kernel", "sides")
+                    and isinstance(node.ctx, ast.Load) for node in ast.walk(top))]
+
+
+def test_only_the_evaluator_and_the_sweep_read_an_inequality():
+    readers = {(path.name, name) for path in SOURCES
+               for name in kernel_readers(ast.parse(path.read_text(), str(path)))}
+    assert readers == {("inequalities.py", "evaluator"), ("optimize.py", "grid_sweep")}
+
+
+def test_the_kernel_rule_sees_calls_and_references():
+    tree = ast.parse("def f(s, p):\n    return s.kernel(p)\n"
+                     "def g(s):\n    h = s.sides\n"
+                     "class C:\n    def m(self, s):\n        s.sides(1)\n"
+                     "def k(s):\n    s.sides = 1\n    return kernel(s)\n")
+    assert kernel_readers(tree) == ["f", "g", "C"]
