@@ -6,10 +6,14 @@ default and help; _COMMANDS names the options each subcommand takes, and a
 config file is checked whole, against the keys of _OPTIONS, before any work.
 Flags must be spelled in full.  Direction flags take "theta,phi" pairs in
 radians, or degrees with --degrees (config-file angles are always
-radians).  mode is read by correlate and the full provider, postselect by
-sample and the sampled provider; a switch the chosen provider would
-ignore is an error.  Results print to stdout as JSON; --output writes an
-artifact in JSON or, for the commands with a table, CSV.
+radians); a pair may start with a minus sign (--a -0.3,0.2).  mode is read
+by correlate and the full provider, postselect by sample and the sampled
+provider; a switch the chosen provider would ignore is an error.
+
+Each handler returns its exit code, payload and table, and main writes
+them once: the payload to stdout as JSON, then the --output artifact in
+JSON or, for the commands _COMMANDS marks as writing a table, CSV (for
+the others a CSV artifact is refused before any work).
 
 Exit codes: 0 success, 10 the inequality given to check is violated
 (sweep and optimize exit 0 whatever they find), 2 configuration or parse
@@ -263,14 +267,18 @@ def _sweep_pieces(fmt: str, kind: str, payload: dict, kept: list):
     yield closing
 
 
-def _emit(args, cfg: dict, payload: dict, header=None, rows=(), pieces=None) -> None:
-    """Stream payload to stdout as JSON, then write the --output artifact if asked for.
+def _emit(args, cfg: dict, payload, table) -> None:
+    """Write a command's result: payload to stdout, then the --output artifact.
 
-    The artifact is written piece by piece from pieces(fmt) when given;
-    otherwise the JSON artifact is payload's, and the CSV artifact is the
-    header line then one line per row.  A command that passes neither
-    pieces nor a header calls _refuse_csv before any work.
+    payload prints as JSON, or as plain text when it is a string (version).
+    table says what the artifact is: None, payload's JSON (main refuses a
+    CSV artifact for these commands before any work); a (header, rows)
+    pair, whose CSV artifact is the header line then one line per row; or
+    a function of the format that gives the artifact piece by piece.
     """
+    if isinstance(payload, str):
+        print(payload)
+        return
     # a few thousand chunks per write: with python -u each write is a system call
     chunks = json.JSONEncoder(indent=2).iterencode(payload)
     sys.stdout.writelines(iter(lambda: "".join(itertools.islice(chunks, 4096)), ""))
@@ -280,31 +288,25 @@ def _emit(args, cfg: dict, payload: dict, header=None, rows=(), pieces=None) -> 
         return
     fmt = _pick(args, cfg, "format")
     with open(path, "w", encoding="utf-8") as fh:
-        if pieces is not None:
-            fh.writelines(pieces(fmt))
+        if callable(table):
+            fh.writelines(table(fmt))
         elif fmt == "csv":
+            header, rows = table
             fh.writelines(_csv_line(row) + "\n" for row in (header, *rows))
         else:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
 
-def _refuse_csv(args, cfg: dict) -> None:
-    # For a command with no table: refuse a CSV artifact before any work.
-    if _pick(args, cfg, "output") and _pick(args, cfg, "format") == "csv":
-        raise ConfigError(f"{args.command} artifacts support only --format json")
-
-
-def _cmd_correlate(args, cfg: dict) -> int:
+def _cmd_correlate(args, cfg: dict) -> tuple:
     state = _state_from(args, cfg)
     a, b = _directions_from(args, cfg, 2)
     mode = _pick(args, cfg, "mode")
     payload = correlation(state, a, b, mode=mode).to_dict()
-    _emit(args, cfg, payload, list(payload), [payload.values()])
-    return 0
+    return 0, payload, (list(payload), [payload.values()])
 
 
-def _cmd_check(args, cfg: dict) -> int:
+def _cmd_check(args, cfg: dict) -> tuple:
     state = _state_from(args, cfg)
     kind = _kind_of(args, cfg)
     dirs = _directions_from(args, cfg, INEQUALITIES[kind].arity)
@@ -312,13 +314,12 @@ def _cmd_check(args, cfg: dict) -> int:
     report = check(provider, kind, *dirs)
     payload = {**report.to_dict(), "provenance": provider.provenance}
     angles = [v for d in report.config for v in (d.theta, d.phi)]
-    _emit(args, cfg, payload,
-          ["kind", *_angle_columns(len(dirs)), "lhs", "rhs", "margin", "violated"],
-          [(report.kind, *angles, report.lhs, report.rhs, report.margin, report.violated)])
-    return 10 if report.violated else 0
+    header = ["kind", *_angle_columns(len(dirs)), "lhs", "rhs", "margin", "violated"]
+    rows = [(report.kind, *angles, report.lhs, report.rhs, report.margin, report.violated)]
+    return 10 if report.violated else 0, payload, (header, rows)
 
 
-def _cmd_sweep(args, cfg: dict) -> int:
+def _cmd_sweep(args, cfg: dict) -> tuple:
     state = _state_from(args, cfg)
     kind = _kind_of(args, cfg)
     resolution = _pick(args, cfg, "resolution", required="sweep requires --resolution")
@@ -328,12 +329,10 @@ def _cmd_sweep(args, cfg: dict) -> int:
     result = grid_sweep(provider, kind, resolution,
                         sink=(lambda *block_angles: kept.append(block_angles)) if path else None)
     payload = {**result.to_dict(), "provenance": provider.provenance}
-    _emit(args, cfg, payload, pieces=lambda fmt: _sweep_pieces(fmt, kind, payload, kept))
-    return 0
+    return 0, payload, lambda fmt: _sweep_pieces(fmt, kind, payload, kept)
 
 
-def _cmd_optimize(args, cfg: dict) -> int:
-    _refuse_csv(args, cfg)
+def _cmd_optimize(args, cfg: dict) -> tuple:
     state = _state_from(args, cfg)
     kind = _kind_of(args, cfg)
     starts = _pick(args, cfg, "starts", required="optimize requires --starts")
@@ -346,11 +345,10 @@ def _cmd_optimize(args, cfg: dict) -> int:
     extra = () if resolution is None else (grid_sweep(provider, kind, resolution).best_config,)
     result = multistart_refine(provider, kind, starts, seed, max_iter=max_iter, tol=tol,
                                extra_starts=extra)
-    _emit(args, cfg, {**result.to_dict(), "provenance": provider.provenance})
-    return 0
+    return 0, {**result.to_dict(), "provenance": provider.provenance}, None
 
 
-def _cmd_sample(args, cfg: dict) -> int:
+def _cmd_sample(args, cfg: dict) -> tuple:
     state = _state_from(args, cfg)
     a, b = _directions_from(args, cfg, 2)
     n = _pick(args, cfg, "n", required="sample requires --n")
@@ -366,14 +364,12 @@ def _cmd_sample(args, cfg: dict) -> int:
         payload = stats.to_dict()
     header = ["theta_a", "phi_a", "theta_b", "phi_b", "n", "count_pp", "count_pm",
               "count_mp", "count_mm", "count_inconclusive", "estimate", "stderr", "seed"]
-    _emit(args, cfg, payload, header,
-          [(a.theta, a.phi, b.theta, b.phi, stats.n_total,
-            *(stats.counts[c] for c in CATEGORIES), stats.estimate, stats.stderr, stats.seed)])
-    return 0
+    rows = [(a.theta, a.phi, b.theta, b.phi, stats.n_total,
+             *(stats.counts[c] for c in CATEGORIES), stats.estimate, stats.stderr, stats.seed)]
+    return 0, payload, (header, rows)
 
 
-def _cmd_coherent(args, cfg: dict) -> int:
-    _refuse_csv(args, cfg)
+def _cmd_coherent(args, cfg: dict) -> tuple:
     s = _spin_from(args, cfg)
     if args.dir is None:
         raise ConfigError("coherent requires --dir theta,phi")
@@ -383,39 +379,38 @@ def _cmd_coherent(args, cfg: dict) -> int:
         raise ConfigError(f"sign must be '+' or '-', got {args.sign!r}")
     d = Direction(t, p)
     ket = coherent_state(s, d, sign)
-    _emit(args, cfg, {
+    return 0, {
         "two_s": s.two_s,
         "direction": {"theta": d.theta, "phi": d.phi},
         "sign": sign,
         "m_values": [float(m) for m in s.m_values()],
         "amplitudes": [[z.real, z.imag] for z in ket.amps],
-    })
-    return 0
+    }, None
 
 
-def _cmd_version(_args, _cfg: dict) -> int:
-    print(__version__)
-    return 0
+def _cmd_version(_args, _cfg: dict) -> tuple:
+    return 0, __version__, None
 
 
 _SCENARIO = "config degrees two_s alpha gamma1 gamma2 "
 _PROVIDER = "kind provider mode n seed postselect "
 
-# command -> (handler, help, the _OPTIONS it takes)
+# command -> (handler, help, the _OPTIONS it takes, whether it writes a table);
+# a handler returns (exit code, payload, table) for main to pass to _emit.
 _COMMANDS = {
     "correlate": (_cmd_correlate, "correlation breakdown for two axes",
-                  _SCENARIO + "a b mode output format"),
+                  _SCENARIO + "a b mode output format", True),
     "check": (_cmd_check, "evaluate one inequality at given axes",
-              _SCENARIO + "a b c d " + _PROVIDER + "output format"),
+              _SCENARIO + "a b c d " + _PROVIDER + "output format", True),
     "sweep": (_cmd_sweep, "grid sweep for the largest violation",
-              _SCENARIO + _PROVIDER + "resolution output format"),
+              _SCENARIO + _PROVIDER + "resolution output format", True),
     "optimize": (_cmd_optimize, "multistart simplex refinement",
-                 _SCENARIO + _PROVIDER + "starts max_iter tol resolution output format"),
+                 _SCENARIO + _PROVIDER + "starts max_iter tol resolution output format", False),
     "sample": (_cmd_sample, "Monte Carlo outcome sampling",
-               _SCENARIO + "a b n seed postselect photon output format"),
+               _SCENARIO + "a b n seed postselect photon output format", True),
     "coherent": (_cmd_coherent, "coherent-state amplitudes",
-                 "config degrees two_s dir sign output format"),
-    "version": (_cmd_version, "print the package version", ""),
+                 "config degrees two_s dir sign output format", False),
+    "version": (_cmd_version, "print the package version", "", False),
 }
 
 
@@ -425,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bell-type inequality laboratory for bipartite spin-s cat states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_handler, summary, dests) in _COMMANDS.items():
+    for name, (_handler, summary, dests, _table) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for dest in dests.split():
             flag, keys, kind, default, help_text = _OPTIONS[dest]
@@ -437,15 +432,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_DIRECTION_FLAGS = {_OPTIONS[dest][0] for dest in ("a", "b", "c", "d", "dir")}
+
+
+def _join_directions(argv: list[str]) -> list[str]:
+    """argv with each direction flag joined to a following value that starts
+    with a single minus sign ("--a", "-0.3,0.2" -> "--a=-0.3,0.2"), which
+    argparse would otherwise take for an option."""
+    joined: list[str] = []
+    for token in argv:
+        if (joined and joined[-1] in _DIRECTION_FLAGS
+                and token.startswith("-") and not token.startswith("--")):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_directions(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
         cfg = _load_config(getattr(args, "config", None))
-        return _COMMANDS[args.command][0](args, cfg)
+        handler, _summary, _dests, tabular = _COMMANDS[args.command]
+        if not tabular and _pick(args, cfg, "output") and _pick(args, cfg, "format") == "csv":
+            raise ConfigError(f"{args.command} artifacts support only --format json")
+        code, payload, table = handler(args, cfg)
+        _emit(args, cfg, payload, table)
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

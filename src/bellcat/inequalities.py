@@ -115,10 +115,13 @@ def sampled_provider(state: CatState, n: int, seed: int,
 
     The provider counts the shots it draws.  A draw that would take the
     total past optimize.SHOT_LIMIT raises BudgetExceededError before
-    drawing; cached pairs are still served, at no cost.
+    drawing; cached pairs are still served, at no cost.  A seed outside
+    [0, 2**64) raises ValueError here.
     """
     from . import optimize, rng
     from .sampling import CATEGORIES, sample_outcomes
+
+    rng.check_seed(seed)
 
     cache: dict[tuple[float, float, float, float], object] = {}
     drawn = 0

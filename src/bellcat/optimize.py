@@ -397,6 +397,9 @@ def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
 
     Raises
     ------
+    ValueError
+        If there is no start or seed is not an integer in [0, 2**64);
+        nothing is drawn.
     BudgetExceededError
         If the starts, extra ones included, times max_iter (at least 1)
         exceed EVALUATION_LIMIT; nothing is drawn.
@@ -406,6 +409,7 @@ def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
         raise ValueError(f"n_starts must be non-negative, got {n_starts}")
     if n_starts < 1 and not extra_starts:
         raise ValueError("need at least one start")
+    rng.check_seed(seed)
     total = n_starts + len(extra_starts)
     if total * max(max_iter, 1) > EVALUATION_LIMIT:
         raise BudgetExceededError(

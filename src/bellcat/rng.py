@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["uniforms", "integers", "derive"]
+__all__ = ["uniforms", "integers", "derive", "check_seed"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -38,8 +38,10 @@ _SHIFT27 = _word(27)
 _SHIFT30 = _word(30)
 _SHIFT31 = _word(31)
 
-# Words filled per add of the step table, and the table's largest size.
-_CHUNK = 1 << 16
+# Words filled per add of the step table, and the table's largest size
+# (256 KB): a sampled-provider pair of up to 32,768 shots takes one add and
+# a sampling block (sampling._BLOCK) two; a smaller table costs more adds.
+_CHUNK = 1 << 15
 
 # _steps[i] = (i + 1) * golden mod 2**64, read-only; built at first use and
 # grown to the largest chunk asked for, at most _CHUNK words.
@@ -99,6 +101,16 @@ def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     u = np.right_shift(words, _SHIFT11, words).astype(np.float64)
     u *= 2.0**-53
     return u
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed is an integer in [0, 2**64).
+
+    The stream reduces seeds modulo 2**64, so entry points that take a
+    user's seed check it first rather than let two seeds share draws.
+    """
+    if not isinstance(seed, int) or not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _mix_int(z: int) -> int:

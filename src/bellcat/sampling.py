@@ -181,12 +181,14 @@ def sample_outcomes(state: CatState, a: Direction, b: Direction, n: int,
     n : int
         Number of shots, at least 1.
     seed : int
-        Stream seed; equal seeds reproduce counts exactly.
+        Stream seed in [0, 2**64); equal seeds reproduce counts exactly.
     postselect : bool
         When True the estimate conditions on conclusive shots.
 
     Raises
     ------
+    ValueError
+        If n < 1 or seed is out of range; nothing is drawn.
     BudgetExceededError
         If n exceeds optimize.SHOT_LIMIT; nothing is drawn.
     ZeroConclusiveError
@@ -198,6 +200,7 @@ def sample_outcomes(state: CatState, a: Direction, b: Direction, n: int,
         raise BudgetExceededError(
             f"{n} shots exceed the shot limit {optimize.SHOT_LIMIT:.0e}"
         )
+    rng.check_seed(seed)
     probs = outcome_probabilities(state, a, b)
     counts = _draw_counts(probs, n, seed)
     return _stats_from_counts(counts, n, seed, postselect)

@@ -1,6 +1,8 @@
 """Command line interface: parsing, exit codes, artifacts."""
 
 import contextlib
+import hashlib
+import io
 import json
 import math
 import struct
@@ -904,6 +906,134 @@ def test_json_artifact_is_the_printed_payload(capsys, tmp_path, argv):
     out = capsys.readouterr().out
     assert code in (0, 10)
     assert target.read_bytes() == (json.dumps(json.loads(out), indent=2) + "\n").encode()
+
+
+# --- golden bytes: exit code, stdout, stderr and artifact per command -------
+
+# Relative artifact paths, so stderr names no temporary directory.
+GOLDEN_CONFIG = ('{"kind": "bell", "state": {"two_s": 3, "alpha": 0.3}, "sweep": {"resolution": 3},'
+                 ' "output": {"path": "out.csv", "format": "csv"}}')
+GOLDEN_ARGV = {
+    "correlate": ["correlate", "--two-s", "3", "--alpha", "0.5", "--gamma1", "0.2",
+                  "--gamma2", "-0.3", "--a=-0.4,0.2", "--b", "2.1,5.0", "--mode", "postselected"],
+    "check": ["check", "--kind", "wigner", "--two-s", "2", "--a", "0.3,0", "--b", "1.2,0.1",
+              "--c", "2.0,4.0", "--provider", "lc"],
+    "sweep": ["sweep", "--kind", "chsh", "--two-s", "1", "--resolution", "3"],
+    "optimize": ["optimize", "--kind", "chsh", "--two-s", "1", "--starts", "2", "--seed", "11",
+                 "--max-iter", "60", "--resolution", "2"],
+    "sample": ["sample", "--two-s", "1", "--a", "0,0", "--b", "120,0", "--degrees",
+               "--n", "10000", "--seed", "7"],
+    "coherent": ["coherent", "--two-s", "3", "--dir", "90,45", "--degrees", "--sign", "-"],
+}
+GOLDEN_RUNS = {
+    "version": ["version"],
+    **GOLDEN_ARGV,
+    **{f"{name}-json": [*argv, "--output", "out.json", "--format", "json"]
+       for name, argv in GOLDEN_ARGV.items()},
+    # csv is refused with exit 2 for optimize and coherent
+    **{f"{name}-csv": [*argv, "--output", "out.csv", "--format", "csv"]
+       for name, argv in GOLDEN_ARGV.items()},
+    "check-violated": ["check", "--kind", "chsh", "--two-s", "1", "--a", "0,0", "--b", "45,0",
+                       "--c", "45,180", "--d", "90,0", "--degrees"],
+    "check-sampled": ["check", "--kind", "chsh", "--two-s", "1", *TSIRELSON_FLAGS,
+                      "--provider", "sampled", "--n", "2000", "--seed", "7", "--postselect"],
+    "sweep-wigner-csv": ["sweep", "--kind", "wigner", "--two-s", "3", "--resolution", "3",
+                         "--provider", "lc", "--output", "out.csv", "--format", "csv"],
+    "sample-photon-csv": ["sample", "--two-s", "2", "--a", "0.4,0.2", "--b", "2.1,5.0",
+                          "--n", "3000", "--seed", "5", "--photon",
+                          "--output", "out.csv", "--format", "csv"],
+    "unwritable-output": [*GOLDEN_ARGV["correlate"], "--output", "missing/out.json"],
+    "config": ["sweep", "--config", "run.json"],
+}
+GOLDEN_DIGESTS = {
+    "check": "c5ea6183ec453092b24e56c601e296dae326e0bc1695ddb1bb81e91e7adf69c1",
+    "check-csv": "40c374dd6636b2de9d354650dee9004089ff5cdbf2ba680662925d10b95ea0b7",
+    "check-json": "df027274c46d414b692070053042a13258f3e7ad7737e18887fb814c64091258",
+    "check-sampled": "e021bd9e8f61e1a4fe4b45fec017078bb63c73e6738ff6cec4d076df72b5c3ea",
+    "check-violated": "b66762d362c4000543e5b1bc9c2afdc8f62d608fe95eb349ba10a2d99b20de8c",
+    "coherent": "4ee36acf7fda1b539ab5f2322bf4355181f7103bc95f0c9ea3b24690babe7c26",
+    "coherent-csv": "990eeaf7c0b59913caf8487cce7af57fb973bc80cd042d4031572b50cfa6a35e",
+    "coherent-json": "c9af4a0c6cba617d3c0e25940e15bd31ff7db7ab3712a380b889675bef714044",
+    "config": "762e59e8283ac4524eea04011974fbb8d7e420b1cd3d5b3623cbc59d74e6955a",
+    "correlate": "f1b1be683feb02e821197f4c54b8c155f17b31818dfa7b598617d95d4c531da4",
+    "correlate-csv": "6ec96f053c16cf6ca69240844bf7a9d1c93f03fb1ad33569221786c2fcffa7a3",
+    "correlate-json": "c51abbe7c77d5b89d5ffd27e91a6436450d086e410b6120f891d106a4499fb1d",
+    "optimize": "62804d46a0babecb81fdf67e8e615f7269656ee71d05da0256d48433c21ae722",
+    "optimize-csv": "0b0d07e0d300b034d3c71f5d32c836c9aaff9685a02916d115a632f914ef8e27",
+    "optimize-json": "8f330b4c5d649a59bf35a3f64c0fa26bbd2459baf1a204c8e36015ae1590dd4e",
+    "sample": "4282873ca7e1f748c206029bc2ffe25cbb909d15915912ebe4c1207f1bfeeb64",
+    "sample-csv": "5300507aa79011b17ff01b2bde34ab741d62a5ac06a863ba2d2c333f67c32872",
+    "sample-json": "619d1a04d0e20916ee192c38a4c8e7c614508e68bd9a8aef1546307d46f1ab90",
+    "sample-photon-csv": "2cae8db45c96134c7b4a62e89a0aa1e6ecf9b4c506aef7af4e28c8720b4eb279",
+    "sweep": "fcc3e2dcf6b243395ce2ef6a9fbd2018db8bc79d2d986f605acce52091b2ede0",
+    "sweep-csv": "4b78eb2d27f1ac020b284b0fbf0ede81efbb6413c422bd7af15b143c02d9f1bd",
+    "sweep-json": "7a15e2bb214fb1b6ca079e59fcc81ee50c7164d616862a7ab84420e201393205",
+    "sweep-wigner-csv": "e08737a8f284d72dec6fc044c43caa11c8420fb2ed5c525176fd67398eedb12b",
+    "unwritable-output": "92570017c2aff87b47025e53140d7eea8158be953a45a526fc862a5b1b38b367",
+    "version": "7b032745570545667952c886c48bb35937bdeb82fde9f8886ad3d1703f501d6c",
+}
+
+
+def golden_digest(argv, work):
+    """sha256 of (exit code, stdout, stderr, artifact bytes or None) of one
+    in-process run in the working directory work."""
+    (work / "run.json").write_text(GOLDEN_CONFIG)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    artifact = next((path.read_bytes() for path in (work / "out.json", work / "out.csv")
+                     if path.exists()), None)
+    return hashlib.sha256(repr((code, out.getvalue(), err.getvalue(), artifact)).encode()
+                          ).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_bytes(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert golden_digest(GOLDEN_RUNS[name], tmp_path) == GOLDEN_DIGESTS[name]
+
+
+# command -> (the other flags of a run, a direction flag, a negative value for it)
+NEGATIVE_DIRECTIONS = {
+    "correlate": (["correlate", "--two-s", "1", "--b", "0,0"], "--a", "-0.3,0.2"),
+    "check": (["check", "--kind", "chsh", "--two-s", "1", *TSIRELSON_FLAGS[:6]],
+              "--d", "-1.5,-0.2"),
+    "sample": (["sample", "--two-s", "2", "--a", "0.4,0.2", "--n", "300", "--seed", "5"],
+               "--b", "-2.1,5.0"),
+    "coherent": (["coherent", "--two-s", "3"], "--dir", "-1,2"),
+}
+
+
+@pytest.mark.parametrize("degrees", [[], ["--degrees"]], ids=["radians", "degrees"])
+@pytest.mark.parametrize("command", sorted(NEGATIVE_DIRECTIONS))
+def test_negative_direction_value_needs_no_equals_sign(capsys, command, degrees):
+    base, flag, value = NEGATIVE_DIRECTIONS[command]
+    split = run(capsys, *base, *degrees, flag, value)
+    assert split[0] in (0, 10)
+    assert split == run(capsys, *base, *degrees, f"{flag}={value}")
+    for argv in ([flag, "-inf,0"], [f"{flag}=-inf,0"]):
+        assert run(capsys, *base, *degrees, *argv) == (3, "")
+
+
+def test_flag_after_a_direction_flag_is_not_its_value(capsys):
+    code = main(["correlate", "--two-s", "1", "--a", "--b", "0,0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "argument --a: expected one argument" in captured.err
+
+
+@pytest.mark.parametrize("seed", ["-5", "-1", str(2**64), str(5 + 2**64)])
+@pytest.mark.parametrize("argv", [
+    ["sample", "--two-s", "2", "--a", "0.4,0.2", "--b", "2.1,5.0", "--n", "300"],
+    ["optimize", "--kind", "chsh", "--two-s", "1", "--starts", "1", "--max-iter", "5"],
+    ["check", "--kind", "chsh", "--two-s", "1", *TSIRELSON_FLAGS, "--provider", "sampled",
+     "--n", "100"],
+], ids=["sample", "optimize", "check-sampled"])
+def test_seed_outside_64_bits_is_domain_error(capsys, argv, seed):
+    code = main([*argv, "--seed", seed])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "seed must be an integer in [0, 2**64)" in captured.err
 
 
 class TestTopLevel:

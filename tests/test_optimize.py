@@ -528,6 +528,18 @@ class TestMultistart:
         with pytest.raises(ValueError):
             multistart_refine(full_half(), "chsh", -1, seed=1, extra_starts=(TSIRELSON,))
 
+    def test_seed_is_a_64_bit_word_checked_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("starts were drawn")
+
+        for seed in (0, 2**64 - 1):
+            multistart_refine(full_half(), "chsh", 1, seed=seed, max_iter=5)
+        monkeypatch.setattr(rng, "uniforms", no_draw)
+        monkeypatch.setattr(optimize, "refine", no_draw)
+        for seed in (-1, 2**64, 5 + 2**64):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                multistart_refine(full_half(), "chsh", 1, seed=seed, extra_starts=(TSIRELSON,))
+
     def test_random_starts_read_one_stream(self, monkeypatch):
         # start k takes uniforms k*dim .. (k+1)*dim - 1, the rows of one draw
         seen = []

@@ -462,6 +462,23 @@ class TestSampleOutcomes:
         with pytest.raises(ValueError):
             sample_outcomes(singlet(SpinQuantum(1)), EQ, EQ, 0, 1)
 
+    @pytest.mark.parametrize("draw", [
+        lambda st, seed: sample_outcomes(st, EQ, EQ, 100, seed).n_total,
+        lambda st, seed: sampled_provider(st, 100, seed).correlation(EQ, EQ),
+    ], ids=["sample_outcomes", "sampled_provider"])
+    def test_seed_is_a_64_bit_word_checked_before_any_word(self, monkeypatch, draw):
+        # the stream reduces seeds modulo 2**64, so two seeds would share draws
+        def no_words(*args, **kwargs):
+            raise AssertionError("words were drawn")
+
+        st = singlet(SpinQuantum(2))
+        for seed in (0, 2**64 - 1):
+            draw(st, seed)
+        monkeypatch.setattr(rng, "integers", no_words)
+        for seed in (-1, 2**64, 5 - 2**64, 5 + 2**64, 5.0):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                draw(st, seed)
+
     def test_json_round_trip(self):
         # the dict the CLI prints carries every field
         stats = sample_outcomes(singlet(SpinQuantum(2)), Direction(0.7, 0.0),
