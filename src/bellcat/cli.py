@@ -35,7 +35,7 @@ from . import __version__
 from .correlations import correlation
 from .inequalities import (INEQUALITIES, CorrelationProvider, check, full_provider,
                            lc_provider, sampled_provider)
-from .optimize import grid_sweep, multistart_refine
+from .optimize import _check_starts, grid_sweep, multistart_refine
 from .sampling import CATEGORIES, photon_emulation, sample_outcomes
 from .spins import Direction, SpinQuantum, coherent_state
 from .states import CatCoefficients, CatState
@@ -342,6 +342,8 @@ def _cmd_optimize(args, cfg: dict) -> tuple:
     tol = float(_pick(args, cfg, "tol"))
     resolution = _pick(args, cfg, "resolution", "optimize.resolution")
     provider = _provider_from(args, cfg, state)
+    # the sweep's winner is one more start: refuse bad search arguments before sweeping
+    _check_starts(starts, resolution is not None, seed, max_iter)
     extra = () if resolution is None else (grid_sweep(provider, kind, resolution).best_config,)
     result = multistart_refine(provider, kind, starts, seed, max_iter=max_iter, tol=tol,
                                extra_starts=extra)

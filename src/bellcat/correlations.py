@@ -148,6 +148,16 @@ def _weight(lc: tuple, nlc: tuple) -> float:
     return (((lc[0] + lc[1]) + lc[2]) + lc[3]) + (((nlc[0] + nlc[1]) + nlc[2]) + nlc[3])
 
 
+def _conclusive(weight: float) -> float:
+    """weight, which a postselected value divides by; the one check that
+    raises DegeneratePostselectionError below WEIGHT_TOL."""
+    if weight < WEIGHT_TOL:
+        raise DegeneratePostselectionError(
+            f"conclusive weight {weight:.3e} below {WEIGHT_TOL:.0e}"
+        )
+    return weight
+
+
 def _split(lc: tuple, nlc: tuple, postselected: bool) -> tuple[float, float, float]:
     """(p_lc, p_nlc, weight) of correlation, divided by the weight when
     postselected; DegeneratePostselectionError below WEIGHT_TOL."""
@@ -157,10 +167,7 @@ def _split(lc: tuple, nlc: tuple, postselected: bool) -> tuple[float, float, flo
     p_nlc = (nlc[0] - nlc[1]) + (nlc[3] - nlc[2])
     weight = _weight(lc, nlc)
     if postselected:
-        if weight < WEIGHT_TOL:
-            raise DegeneratePostselectionError(
-                f"conclusive weight {weight:.3e} below {WEIGHT_TOL:.0e}"
-            )
+        _conclusive(weight)
         p_lc /= weight
         p_nlc /= weight
     return p_lc, p_nlc, weight
@@ -176,8 +183,9 @@ def pair_kernel(state: CatState, part: str, mode: str,
     lc_correlation_closed (part "lc") or correlation(...).p_total (part
     "full"), or wigner_joint(..., +1, +1, part), returns for the same axes,
     raising as they do.  A postselected "full" joint is divided by the
-    conclusive weight.  Factors computed once per axis serve every pair
-    it is in.
+    conclusive weight, and raises DegeneratePostselectionError below
+    WEIGHT_TOL as correlation does.  Factors computed once per axis serve
+    every pair it is in.
     """
     consts = state.closed_constants
     two_s = consts[3]
@@ -203,7 +211,7 @@ def pair_kernel(state: CatState, part: str, mode: str,
             lc, nlc = _elements(consts, fa, fb)
             p = lc[0] + nlc[0]
             if postselected:
-                p /= _weight(lc, nlc)
+                p /= _conclusive(_weight(lc, nlc))
             return p
     return partial(_axis, two_s), pair
 

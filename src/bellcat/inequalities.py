@@ -18,6 +18,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .correlations import (
+    _conclusive,
     _sign_index,
     correlation,
     lc_correlation_closed,
@@ -87,7 +88,8 @@ def lc_provider(state: CatState) -> CorrelationProvider:
 
 
 def full_provider(state: CatState, mode: str = "raw") -> CorrelationProvider:
-    """Exact quantum correlations, raw or postselected."""
+    """Exact quantum correlations, raw or postselected; a postselected value
+    raises DegeneratePostselectionError below the conclusive weight WEIGHT_TOL."""
     if mode not in ("raw", "postselected"):
         raise ValueError(f"mode must be 'raw' or 'postselected', got {mode!r}")
 
@@ -97,7 +99,7 @@ def full_provider(state: CatState, mode: str = "raw") -> CorrelationProvider:
     def joint(a: Direction, b: Direction, sign_a: int, sign_b: int) -> float:
         p = wigner_joint(state, a, b, sign_a, sign_b, part="full")
         if mode == "postselected":
-            p /= rho_elements_closed(state, a, b).weight
+            p /= _conclusive(rho_elements_closed(state, a, b).weight)
         return p
 
     return CorrelationProvider("full", corr, joint, partial(pair_kernel, state, "full", mode))

@@ -13,10 +13,10 @@ inequality's kernel (Inequality.kernel).  The sweep prepares each grid
 direction through the same kernel into a table of pair values, so every
 value it reports equals objective_value bit for bit.  It evaluates the
 inequality in sub-blocks of at most _SUB_BLOCK combinations, so its
-scratch does not grow with the grid.  It hands its rows out as one
-float64 block per grid point of the first direction (grid_sweep's sink),
-never as a Python object per row, so a caller that keeps every row holds
-8 B per row.
+scratch does not grow with the grid, unless a sink keeps its rows: then
+it evaluates one float64 block per grid point of the first direction and
+hands each block to the sink as it is, never as a Python object per row,
+so a caller that keeps every row holds 8 B per row.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
+from .correlations import DegeneratePostselectionError
 from .inequalities import CorrelationProvider, InequalityReport, check, evaluator, inequality
 from .spins import Direction
 
@@ -57,9 +58,9 @@ SHOT_LIMIT = 10**10
 # Ceiling on the dimension 2s + 1 of one spins.coherent_state ket.
 COHERENT_DIM_LIMIT = 10**6
 
-# Most combinations grid_sweep evaluates at once: each temporary the sides
-# make holds at most 128 KiB of float64, so the sweep's scratch stays in
-# cache and does not grow with the resolution.
+# Most combinations a grid_sweep without a sink evaluates at once: each
+# temporary the sides make holds at most 128 KiB of float64, so the sweep's
+# scratch stays in cache and does not grow with the resolution.
 _SUB_BLOCK = 2**14
 
 
@@ -131,7 +132,9 @@ def objective_value(provider: CorrelationProvider, kind: str,
 
     The (lhs, rhs) that check reports, reduced by Inequality.objective:
     |combination| for chsh, the overshoot -margin for the other kinds
-    (positive means violation).
+    (positive means violation).  Like check, it raises
+    DegeneratePostselectionError where a postselected pair is undefined;
+    the searches read such a configuration as NaN instead.
     """
     spec, lhs_rhs = evaluator(provider, kind)
     return spec.objective(*lhs_rhs(config.flat()))
@@ -160,21 +163,23 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
     The pair values the inequality reads are computed once per ordered
     direction pair, into a (g, g) float64 table filled row by row, g grid
     directions per axis.  The spec's sides are evaluated on broadcast views
-    of that table, one first direction at a time and, within it, in
+    of that table, one first direction at a time; without a sink, in
     sub-blocks along the second direction of at most _SUB_BLOCK elements
     (at least one row), so the scratch does not grow with g**(arity - 1).
-    Every value equals objective_value.  The winner is the
-    lexicographically first combination with the largest value that is
-    not NaN, or the first combination if every value is NaN.
+    A pair whose read raises DegeneratePostselectionError (a postselected
+    pair with no conclusive weight) is NaN in the table, and each other
+    value equals objective_value.  The winner is the lexicographically
+    first combination with the largest value that is not NaN, or the first
+    combination if every value is NaN.
 
     sink, if given, is called once per grid index ia of the first
-    direction, in order, as sink(block, angles).  block is the float64
-    array of shape (g,) * (arity - 1) whose element [j, k, ...] is the
-    objective of directions (ia, j, k, ...), filled from the sub-blocks;
-    angles lists the g grid directions' canonical (theta, phi) pairs.  The
-    blocks in call order, each in C index order, are every row in
-    lexicographic order, and a caller that keeps them holds 8 B per row.
-    Without a sink no whole block is built.
+    direction, in order, as sink(block, angles), after the block's winner
+    bookkeeping (writing into a block cannot change the winner).  block is
+    the whole C-contiguous float64 array of shape (g,) * (arity - 1), as
+    evaluated; its element [j, k, ...] is the objective of directions
+    (ia, j, k, ...).  angles lists the g grid directions' canonical
+    (theta, phi) pairs.  The blocks in call order, each in C index order,
+    are every row in lexicographic order; keeping them holds 8 B per row.
 
     Raises
     ------
@@ -205,16 +210,21 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
     factors = [prepare(d.theta, d.phi) for d in dirs]
     table = np.empty((g, g))
     for ia, fa in enumerate(factors):
-        table[ia] = [pair(fa, fb) for fb in factors]
+        entries = []
+        for fb in factors:
+            try:
+                entries.append(pair(fa, fb))
+            except DegeneratePostselectionError:
+                entries.append(math.nan)
+        table[ia] = entries
 
     # Block axes are directions 1..arity-1 with direction 0 fixed at ia.  A
     # pair (0, j) reads row ia of the table along axis j; a pair (i, j)
     # reads the table, transposed if i > j, along axes i and j.  A sub-block
     # takes rows start:start + step of axis 1, so each view along axis 1 is
     # cut there.  The views' indices are built once per sub-block and serve
-    # every ia.
-    shape = (g,) * (spec.arity - 1)
-    step = max(1, _SUB_BLOCK // g ** (spec.arity - 2))
+    # every ia.  A sink keeps every block, so its sub-block is the whole block.
+    step = g if sink is not None else max(1, _SUB_BLOCK // g ** (spec.arity - 2))
     sub_blocks = []
     for start in range(0, g, step):
         views = []
@@ -229,12 +239,9 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
     best_idx: tuple[int, ...] = ()
     for ia in range(g):
         row = table[ia]
-        block = None if sink is None else np.empty(shape)
         for start, views in sub_blocks:
             values = [(row if first else src)[index] for first, src, index in views]
             sub = spec.objective(*spec.sides(*values))
-            if block is not None:
-                block[start:start + step] = sub
             pos = int(sub.argmax())
             val = sub.item(pos)
             if math.isnan(val):
@@ -246,8 +253,8 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
             if not best_idx or _better(val, best_val):
                 row_index, *rest = np.unravel_index(pos, sub.shape)
                 best_val, best_idx = val, (ia, start + row_index, *rest)
-        if sink is not None:
-            sink(block, angles)
+            if sink is not None:
+                sink(sub, angles)
 
     config = AngleConfig(tuple(dirs[i] for i in best_idx))
     return OptimizationResult(kind, config, best_val, g ** spec.arity, True, None)
@@ -351,21 +358,29 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
 
     The start and every simplex point are scored on their interleaved
     angles by the kind's inequalities.evaluator, as objective_value scores
-    a configuration.  If the final simplex minimum is NaN, which a custom
-    provider's NaN values can cause, the start and its value are returned.
+    a configuration, except that one whose read raises
+    DegeneratePostselectionError scores NaN.  If the final simplex minimum
+    is NaN, which such points or a custom provider's NaN values can cause,
+    the start and its value are returned.
     The simplex is Python lists, and its loop calls numpy only to re-sort
     (argsort) and for the final minimum.
     """
     spec, lhs_rhs = evaluator(provider, kind)
     objective = spec.objective
     x0 = start.flat()
-    start_value = objective(*lhs_rhs(x0))
+    try:
+        start_value = objective(*lhs_rhs(x0))
+    except DegeneratePostselectionError:
+        start_value = math.nan
     best, evals = -math.inf, 1
     trace: list[tuple[int, float]] = []
 
     def negated(x: list[float]) -> float:
         nonlocal best, evals
-        value = objective(*lhs_rhs(x))
+        try:
+            value = objective(*lhs_rhs(x))
+        except DegeneratePostselectionError:
+            value = math.nan
         evals += 1
         if value > best:
             best = value
@@ -381,6 +396,22 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     if start_value > best_value or math.isnan(best_value):
         best_config, best_value = start, start_value
     return OptimizationResult(kind, best_config, best_value, evals, converged, tuple(trace))
+
+
+def _check_starts(n_starts: int, n_extra: int, seed: int, max_iter: int) -> None:
+    """multistart_refine's checks of its random and n_extra fixed starts,
+    seed and budget, for a caller that must refuse before any work."""
+    if n_starts < 0:
+        raise ValueError(f"n_starts must be non-negative, got {n_starts}")
+    if n_starts < 1 and not n_extra:
+        raise ValueError("need at least one start")
+    rng.check_seed(seed)
+    total = n_starts + n_extra
+    if total * max(max_iter, 1) > EVALUATION_LIMIT:
+        raise BudgetExceededError(
+            f"{total} starts x {max_iter} iterations exceeds the evaluation "
+            f"limit {EVALUATION_LIMIT:.0e}"
+        )
 
 
 def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
@@ -405,17 +436,7 @@ def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
         exceed EVALUATION_LIMIT; nothing is drawn.
     """
     dim = 2 * inequality(kind).arity
-    if n_starts < 0:
-        raise ValueError(f"n_starts must be non-negative, got {n_starts}")
-    if n_starts < 1 and not extra_starts:
-        raise ValueError("need at least one start")
-    rng.check_seed(seed)
-    total = n_starts + len(extra_starts)
-    if total * max(max_iter, 1) > EVALUATION_LIMIT:
-        raise BudgetExceededError(
-            f"{total} starts x {max_iter} iterations exceeds the evaluation "
-            f"limit {EVALUATION_LIMIT:.0e}"
-        )
+    _check_starts(n_starts, len(extra_starts), seed, max_iter)
 
     def starts():
         yield from extra_starts

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import optimize, rng
-from .correlations import rho_elements_closed
+from .correlations import DegeneratePostselectionError, rho_elements_closed
 from .optimize import BudgetExceededError
 from .spins import Direction
 from .states import CatState
@@ -52,7 +52,7 @@ class NegativeProbabilityError(ValueError):
     """A category probability is negative beyond rounding noise."""
 
 
-class ZeroConclusiveError(ValueError):
+class ZeroConclusiveError(DegeneratePostselectionError):
     """Postselected statistics requested but every draw was inconclusive."""
 
 

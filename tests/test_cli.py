@@ -15,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bellcat import (CATEGORIES, INEQUALITIES, CatCoefficients, CatState, Direction,
-                     SpinQuantum, check, correlation, full_provider, grid_sweep,
-                     sample_outcomes, singlet)
+from bellcat import (CATEGORIES, INEQUALITIES, CatCoefficients, CatState,
+                     DegeneratePostselectionError, Direction, SpinQuantum, check, correlation,
+                     full_provider, grid_sweep, sample_outcomes, singlet)
 from bellcat.cli import _COMMANDS, _CONFIG, _OPTIONS, _csv_line, _sweep_pieces, main
 
 PI = math.pi
@@ -337,6 +337,20 @@ class TestConfigFile:
 
 
 class TestCheck:
+    @pytest.mark.parametrize("two_s", [2, 4])
+    @pytest.mark.parametrize("kind", sorted(INEQUALITIES))
+    def test_undefined_postselected_pair_is_domain_error(self, capsys, kind, two_s):
+        # the searches read such a pair as NaN; check refuses it with the
+        # message correlate gives
+        equator = Direction(PI / 2, 0.0)
+        with pytest.raises(DegeneratePostselectionError) as exc:
+            correlation(singlet(SpinQuantum(two_s)), equator, equator, "postselected")
+        dirs = flags_for([equator] * INEQUALITIES[kind].arity)
+        code = main(["check", "--kind", kind, "--two-s", str(two_s), "--mode", "postselected",
+                     *dirs])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"domain error: {exc.value}\n")
+
     def test_chsh_violation_exit_code(self, capsys):
         code, out = run(capsys, "check", "--kind", "chsh", "--two-s", "1",
                         *TSIRELSON_FLAGS)
@@ -428,6 +442,18 @@ class TestCheck:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("two_s", ["2", "4"])
+    @pytest.mark.parametrize("kind", sorted(INEQUALITIES))
+    def test_undefined_postselected_pairs_do_not_end_the_search(self, capsys, kind, two_s):
+        # odd grids hold equatorial pairs with no conclusive weight
+        for provider in (["--mode", "postselected"],
+                         ["--provider", "sampled", "--postselect", "--n", "100", "--seed", "1"]):
+            for resolution in ("3", "5"):
+                code, out = run(capsys, "sweep", "--kind", kind, "--two-s", two_s,
+                                "--resolution", resolution, *provider)
+                assert code == 0
+                assert math.isfinite(json.loads(out)["best_value"])
+
     @pytest.mark.parametrize("command", [["sweep", "--resolution", "3"],
                                          ["optimize", "--starts", "1"]],
                              ids=["sweep", "optimize"])
@@ -709,6 +735,29 @@ class TestOptimize:
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         assert "evaluation limit" in captured.err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--starts", "1", "--seed", "-1"], "seed must be an integer in [0, 2**64), got -1"),
+        # 50 starts fit the budget; the sweep's winner is the 51st
+        (["--starts", "50", "--seed", "1", "--max-iter", "200000"],
+         "51 starts x 200000 iterations exceeds the evaluation limit 1e+07"),
+    ], ids=["seed", "budget"])
+    def test_search_arguments_checked_before_the_sweep(self, capsys, monkeypatch, flags,
+                                                       message):
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr("bellcat.optimize._grid_directions", no_grid)
+        code = main(["optimize", "--kind", "chsh", "--two-s", "1", "--resolution", "9", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"domain error: {message}\n")
+
+    def test_postselected_integer_singlet_search_reaches_sqrt_five(self, capsys):
+        # the resolution-3 sweep that seeds the search has undefined pairs
+        code, out = run(capsys, "optimize", "--kind", "chsh", "--two-s", "2", "--mode",
+                        "postselected", "--starts", "2", "--seed", "1", "--resolution", "3")
+        assert code == 0
+        assert json.loads(out)["best_value"] == pytest.approx(math.sqrt(5.0), abs=1e-9)
 
     def test_csv_format_without_output_still_runs(self, capsys):
         code, out = run(capsys, "optimize", "--kind", "chsh", "--two-s", "1",

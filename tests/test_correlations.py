@@ -24,6 +24,7 @@ from bellcat import (
     unrestricted_correlation,
     wigner_joint,
 )
+from bellcat.correlations import _lc_axis
 
 PI = math.pi
 EQ = Direction(PI / 2, 0.0)
@@ -334,3 +335,20 @@ class TestCorrelationProperties:
         except DegeneratePostselectionError:
             return
         assert post.p_lc + post.p_nlc == post.p_total
+
+    signed_angle = st.one_of(st.sampled_from([0.0, -0.0, PI / 2, PI, -PI, 2 * PI, -2 * PI]),
+                             st.floats(-20.0, 20.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_s=st.sampled_from([2, 4, 6, 58, 60, 62]),
+           coeffs=st.tuples(coefficient, coefficient, coefficient),
+           a=st.builds(Direction, signed_angle, signed_angle),
+           b=st.builds(Direction, signed_angle, signed_angle))
+    def test_integer_spin_raw_correlation_is_a_product(self, two_s, coeffs, a, b):
+        # For integer s the raw correlation is -x(a) x(b) with |x| <= 1 on
+        # each axis, so no raw CHSH combination of an integer spin exceeds 2.
+        raw = correlation(CatState(SpinQuantum(two_s), CatCoefficients(*coeffs)), a, b)
+        xa, xb = _lc_axis(two_s, a.theta), _lc_axis(two_s, b.theta)
+        assert raw.p_nlc == 0.0
+        assert abs(xa) <= 1.0 and abs(xb) <= 1.0
+        assert abs(raw.p_total + xa * xb) <= 1e-15

@@ -11,6 +11,7 @@ per-pair reader loop kept in tests/reference.py.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ def reference_weight(lc, nlc):
     return float(lc.sum() + nlc.sum())
 
 
+def reference_conclusive(lc, nlc):
+    """The conclusive weight a postselected value divides by, refused below
+    WEIGHT_TOL."""
+    weight = reference_weight(lc, nlc)
+    if weight < WEIGHT_TOL:
+        raise DegeneratePostselectionError(
+            f"conclusive weight {weight:.3e} below {WEIGHT_TOL:.0e}"
+        )
+    return weight
+
+
 def signed_sum(values):
     return (float(values[0]) - float(values[1])) + (float(values[3]) - float(values[2]))
 
@@ -82,10 +94,7 @@ def reference_correlation(state, a, b, mode):
     p_nlc = signed_sum(nlc)
     weight = reference_weight(lc, nlc)
     if mode == "postselected":
-        if weight < WEIGHT_TOL:
-            raise DegeneratePostselectionError(
-                f"conclusive weight {weight:.3e} below {WEIGHT_TOL:.0e}"
-            )
+        reference_conclusive(lc, nlc)
         p_lc /= weight
         p_nlc /= weight
     return (p_lc + p_nlc, p_lc, p_nlc, weight)
@@ -102,7 +111,7 @@ def reference_joint(state, a, b, sign_a, sign_b, part, postselected=False):
     idx = SIGNS.index((sign_a, sign_b))
     p = float(lc[idx]) if part == "lc" else float((lc + nlc)[idx])
     if postselected:
-        p /= reference_weight(lc, nlc)
+        p /= reference_conclusive(lc, nlc)
     return p
 
 
@@ -309,14 +318,18 @@ def test_kernel_pair_matches_reader(state, label, a, b):
 
 
 def test_degenerate_weight_raises_as_before():
+    # the postselected correlation and (+,+) joint refuse the same weight with
+    # the same error and message, through the reader and the kernel alike
     a, b = Direction(math.pi / 2, 0.0), Direction(math.pi / 2, math.pi / 2)
     provider = full_provider(DEGENERATE, "postselected")
-    for joint, error in ((False, DegeneratePostselectionError), (True, ZeroDivisionError)):
+    weight = rho_elements_closed(DEGENERATE, a, b).weight
+    message = "^" + re.escape(f"conclusive weight {weight:.3e} below 1e-12") + "$"
+    for joint in (False, True):
         spec = next(spec for spec in INEQUALITIES.values() if spec.joint == joint)
         prepare, pair = spec.kernel(provider)
-        with pytest.raises(error):
+        with pytest.raises(DegeneratePostselectionError, match=message):
             spec.reader(provider)(a, b)
-        with pytest.raises(error):
+        with pytest.raises(DegeneratePostselectionError, match=message):
             pair(prepare(a.theta, a.phi), prepare(b.theta, b.phi))
 
 

@@ -20,6 +20,7 @@ from bellcat import (
     BudgetExceededError,
     CatCoefficients,
     CatState,
+    DegeneratePostselectionError,
     DiagonalElements,
     Direction,
     NegativeProbabilityError,
@@ -391,8 +392,11 @@ class TestSampleOutcomes:
     def test_postselect_with_zero_conclusive_mass(self):
         # spin-1 cat at identical equatorial axes: every draw is inconclusive
         st = singlet(SpinQuantum(2))
-        with pytest.raises(ZeroConclusiveError):
+        with pytest.raises(ZeroConclusiveError, match="^all draws were inconclusive$") as exc:
             sample_outcomes(st, EQ, EQ, 100, 3, postselect=True)
+        # an undefined postselected value, which the searches read as NaN
+        assert isinstance(exc.value, DegeneratePostselectionError)
+        assert isinstance(exc.value, ValueError)
         raw = sample_outcomes(st, EQ, EQ, 100, 3)
         assert raw.counts["inconclusive"] == 100
         assert raw.estimate == 0.0

@@ -262,6 +262,27 @@ class TestGeometricPhase:
                 residual = (phase - predicted) % (2 * PI)
                 assert min(residual, 2 * PI - residual) < 1e-8
 
+    def test_phase_law_across_the_log_space_switch(self):
+        # above 2s = 60 the ket amplitudes are assembled in log space; the
+        # kets' overlap still equals overlap_plus and carries the phase
+        # s * area.  Pairs with |overlap| < 1e-3 are skipped: there the
+        # phase is lost to rounding (residuals up to about 3 rad at these
+        # spins).
+        rng = np.random.default_rng(47)
+        for two_s in (58, 59, 60, 61, 62, 80, 120, 200):
+            s = SpinQuantum(two_s)
+            checked = 0
+            while checked < 20:
+                n1, n2 = nondegenerate_pair(rng)
+                closed = overlap_plus(s, n1, n2)
+                if abs(closed) < 1e-3:
+                    continue
+                direct = np.vdot(coherent_state(s, n1, +1).amps, coherent_state(s, n2, +1).amps)
+                assert abs(direct - closed) < 1e-12
+                residual = (cmath.phase(direct) - s.s * berry_area(n1, n2)) % (2 * PI)
+                assert min(residual, 2 * PI - residual) < 1e-9
+                checked += 1
+
     def test_octant_area(self):
         n1 = Direction(PI / 2, 0.0)
         n2 = Direction(PI / 2, PI / 2)
