@@ -7,6 +7,9 @@ channels.  For integer s the four cross contributions cancel exactly and
 the state behaves like a classical mixture; for half-integer s they add
 and the quantum violation survives.  The surviving interference shrinks
 geometrically with spin, as cos(theta/2)^2s-type overlap factors pile up.
+The immunity is a claim about raw correlations, where inconclusive runs
+count as zero: conditioned on conclusive outcomes, the s = 1 cat reaches
+sqrt(5) > 2 in a CHSH search.
 """
 
 import math
@@ -46,3 +49,17 @@ for _ in range(20_000):
     best = max(best, s_val)
 print(f"best |S| over 20000 random configurations: {best:.6f}")
 print("never exceeds 2: the integer-spin cat admits a local description")
+
+print()
+print("the immunity above is a raw-mode claim; postselection changes it")
+print("(s = 1: CHSH search from a resolution-3 grid winner and 2 seeded starts)")
+print(f"{'mode':>13} {'max |S|':>14}")
+for mode in ("raw", "postselected"):
+    provider = bc.full_provider(state, mode)
+    sweep = bc.grid_sweep(provider, "chsh", 3)
+    found = bc.multistart_refine(provider, "chsh", 2, seed=1,
+                                 extra_starts=(sweep.best_config,))
+    print(f"{mode:>13} {found.best_value:>14.10f}")
+print(f"{'sqrt(5)':>13} {math.sqrt(5.0):>14.10f}")
+print("conditioning on conclusive outcomes lifts the integer-spin cat above 2:")
+print("the fair-sampling gap a postselected test must close")

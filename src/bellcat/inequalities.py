@@ -18,7 +18,9 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .correlations import (
+    _axis,
     _conclusive,
+    _elements,
     _sign_index,
     correlation,
     lc_correlation_closed,
@@ -111,9 +113,13 @@ def sampled_provider(state: CatState, n: int, seed: int,
 
     Each pair gets its own deterministic substream derived from (seed, a,
     b), so estimates for different pairs are independent and a repeated
-    pair reproduces its first estimate exactly.  Estimates are cached for
-    the SAMPLED_CACHE_LIMIT most recently added pairs; a pair dropped from
-    the cache is drawn again from the same substream, to the same estimate.
+    pair reproduces its first estimate exactly.  Every value equals the
+    one sample_outcomes gives for the pair's n shots and substream seed.
+    The provider caches each pair's counts, not its estimate, for the
+    SAMPLED_CACHE_LIMIT most recently added pairs; a pair dropped from the
+    cache is drawn again from the same substream, to the same counts.  A
+    postselected pair with no conclusive shot raises ZeroConclusiveError
+    on every read, from its cached counts.
 
     The provider counts the shots it draws.  A draw that would take the
     total past optimize.SHOT_LIMIT raises BudgetExceededError before
@@ -121,41 +127,71 @@ def sampled_provider(state: CatState, n: int, seed: int,
     [0, 2**64) raises ValueError here.
     """
     from . import optimize, rng
-    from .sampling import CATEGORIES, sample_outcomes
+    from .sampling import _check_shots, _count_below, _denominator, _estimate, _probabilities
 
     rng.check_seed(seed)
-
-    cache: dict[tuple[float, float, float, float], object] = {}
+    consts = state.closed_constants
+    two_s = consts[3]
+    # (theta_a, phi_a, theta_b, phi_b) -> [b0, b1, b2, b3], b_k the shots below
+    # CDF entry k.  Every read but a mixed-sign joint needs b0, b2 and b3
+    # only, so b1 is counted when such a joint first asks for it.
+    cache: dict[tuple[float, float, float, float], list] = {}
     drawn = 0
 
-    def stats_for(a: Direction, b: Direction):
+    def prepare(theta: float, phi: float) -> tuple:
+        return theta, phi, _axis(two_s, theta, phi)
+
+    def below(fa: tuple, fb: tuple, mixed: bool = False) -> list:
         nonlocal drawn
-        key = (a.theta, a.phi, b.theta, b.phi)
-        hit = cache.get(key)
-        if hit is None:
+        key = (fa[0], fa[1], fb[0], fb[1])
+        counts = cache.get(key)
+        if counts is not None and (counts[1] is not None or not mixed):
+            return counts
+        if counts is None:
             if drawn + n > optimize.SHOT_LIMIT:
                 raise optimize.BudgetExceededError(
                     f"{n} more shots would take the sampled provider past the shot "
                     f"limit {optimize.SHOT_LIMIT:.0e} ({drawn} drawn)"
                 )
             drawn += n
-            pair_seed = rng.derive(seed, *key)
-            hit = sample_outcomes(state, a, b, n, pair_seed, postselect=postselect)
-            if len(cache) >= SAMPLED_CACHE_LIMIT:
-                del cache[next(iter(cache))]
-            cache[key] = hit
-        return hit
+        pair_seed = rng.derive(seed, *key)
+        _check_shots(n)
+        # DiagonalElements.totals' adds, on _elements' floats
+        lc, nlc = _elements(consts, fa[2], fb[2])
+        probs = _probabilities((lc[0] + nlc[0], lc[1] + nlc[1], lc[2] + nlc[2],
+                                lc[3] + nlc[3]), two_s == 1)
+        if counts is not None:
+            # the pair's own shots again, for the entry its first draw skipped
+            counts[1] = _count_below(probs, n, pair_seed, (1,))[1]
+            return counts
+        counts = _count_below(probs, n, pair_seed, (0, 1, 2, 3) if mixed else (0, 2, 3))
+        if len(cache) >= SAMPLED_CACHE_LIMIT:
+            del cache[next(iter(cache))]
+        cache[key] = counts
+        return counts
+
+    def estimate(fa: tuple, fb: tuple) -> float:
+        b0, _, b2, b3 = below(fa, fb)
+        # c0 - c1 - c2 + c3 with c_k = b_k - b_(k-1)
+        return _estimate(2 * b0 - 2 * b2 + b3, b3, n, postselect)
+
+    def plus_plus(fa: tuple, fb: tuple) -> float:
+        counts = below(fa, fb)
+        return counts[0] / _denominator(counts[3], n, postselect)
 
     def corr(a: Direction, b: Direction) -> float:
-        return stats_for(a, b).estimate
+        return estimate(prepare(a.theta, a.phi), prepare(b.theta, b.phi))
 
     def joint(a: Direction, b: Direction, sign_a: int, sign_b: int) -> float:
-        label = CATEGORIES[_sign_index(sign_a, sign_b)]
-        stats = stats_for(a, b)
-        denom = stats.n_conclusive if postselect else stats.n_total
-        return stats.counts[label] / denom
+        i = _sign_index(sign_a, sign_b)
+        counts = below(prepare(a.theta, a.phi), prepare(b.theta, b.phi), i in (1, 2))
+        count = counts[i] - counts[i - 1] if i else counts[0]
+        return count / _denominator(counts[3], n, postselect)
 
-    return CorrelationProvider("sampled", corr, joint)
+    def axes(reads_joint: bool) -> tuple[Callable, Callable]:
+        return prepare, plus_plus if reads_joint else estimate
+
+    return CorrelationProvider("sampled", corr, joint, axes)
 
 
 @dataclass(frozen=True)

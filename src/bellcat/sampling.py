@@ -4,10 +4,10 @@ Each run draws one of five categories per shot: the four conclusive
 outcome pairs in basis order, then "inconclusive" for the probability mass
 the extremal-outcome postselection discards (absent for s = 1/2, where
 every outcome is extremal).  Each shot takes one raw word of the
-deterministic SplitMix64 stream; the words are counted against four
-integer thresholds, one per CDF entry, which gives exactly the counts of
-an inverse-CDF lookup of the word's uniform (rng.uniforms).  A (state,
-angles, n, seed) tuple fixes the counts exactly.
+deterministic SplitMix64 stream; the words are counted against integer
+thresholds, one per CDF entry a caller needs, which gives exactly the
+counts of an inverse-CDF lookup of the word's uniform (rng.uniforms).
+A (state, angles, n, seed) tuple fixes the counts exactly.
 """
 
 from __future__ import annotations
@@ -92,13 +92,20 @@ def outcome_probabilities(state: CatState, a: Direction, b: Direction) -> np.nda
     exactly 0.0 for s = 1/2.
     """
     totals = rho_elements_closed(state, a, b).totals.tolist()
+    return np.array(_probabilities(totals, state.s.two_s == 1))
+
+
+def _probabilities(totals, half: bool) -> tuple[float, float, float, float, float]:
+    """The five category probabilities from the four diagonal-element totals:
+    tiny entries snapped to 0.0, negative ones refused.  half is s = 1/2,
+    which discards nothing."""
     for i, p in enumerate(totals):
         if p < -_NEG_TOL:
             raise NegativeProbabilityError(
                 f"outcome {CATEGORIES[i]} has probability {p:.3e}"
             )
     p0, p1, p2, p3 = (0.0 if p < PROB_SNAP else p for p in totals)
-    if state.s.two_s == 1:
+    if half:
         # every outcome is extremal for s = 1/2, so nothing is discarded
         p4 = 0.0
     else:
@@ -109,17 +116,20 @@ def outcome_probabilities(state: CatState, a: Direction, b: Direction) -> np.nda
                 f"conclusive probabilities sum to {1.0 - leftover:.17g} > 1"
             )
         p4 = 0.0 if leftover < PROB_SNAP else leftover
-    return np.array([p0, p1, p2, p3, p4])
+    return p0, p1, p2, p3, p4
 
 
-def _draw_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
-    p0, p1, p2, p3, p4 = probs.tolist()
+def _count_below(probs, n: int, seed: int, entries) -> list:
+    """[b0, b1, b2, b3], where b_k counts the n shots of stream seed that fall
+    below CDF entry k, for each k in entries; the others are None.  Only the
+    entries asked for cost a pass over the words, and none is drawn when
+    every such entry is 0 or 1."""
+    p0, p1, p2, p3, p4 = probs
     # np.cumsum's sequential order
-    c0 = p0
-    c1 = c0 + p1
+    c1 = p0 + p1
     c2 = c1 + p2
     # no inconclusive mass: make the last bin swallow CDF rounding slack
-    c3 = 1.0 if p4 == 0.0 else c2 + p3
+    cdf = (p0, c1, c2, 1.0 if p4 == 0.0 else c2 + p3)
     # Shots are counted, not categorized: word w's uniform (w >> 11) * 2**-53
     # lies below a cdf entry c exactly when w < ceil(c * 2**53) << 11, since
     # scaling by a power of two is exact; a limit of 2**53 or more takes
@@ -128,10 +138,17 @@ def _draw_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
     # categories 0..k, also when the pinned last entry sits under an entry
     # rounded above 1 (no uniform reaches 1), so the counts are the
     # differences of the four running totals.
-    limits = [math.ceil(c * 2.0**53) for c in (c0, c1, c2, c3)]
-    below = [n if limit >= 1 << 53 else 0 for limit in limits]
-    thresholds = [(k, np.uint64(limit << 11)) for k, limit in enumerate(limits)
-                  if 0 < limit < 1 << 53]
+    below = [None] * 4
+    thresholds = []
+    for k in entries:
+        limit = math.ceil(cdf[k] * 2.0**53)
+        if 0 < limit < 1 << 53:
+            below[k] = 0
+            thresholds.append((k, np.uint64(limit << 11)))
+        else:
+            below[k] = n if limit >= 1 << 53 else 0
+    if not thresholds:
+        return below
     # one set of block buffers per call, reused by every block
     size = min(_BLOCK, n)
     words = np.empty(size, dtype=np.uint64)
@@ -141,32 +158,57 @@ def _draw_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
         m = min(_BLOCK, n - start)
         block = rng.integers(seed, m, start, out=words[:m], scratch=scratch[:m])
         for k, threshold in thresholds:
-            below[k] += np.count_nonzero(np.less(block, threshold, mask[:m]))
-    b0, b1, b2, b3 = below
+            below[k] += int(np.count_nonzero(np.less(block, threshold, mask[:m])))
+    return below
+
+
+def _draw_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """The five category counts of n shots of stream seed."""
+    b0, b1, b2, b3 = _count_below(probs.tolist(), n, seed, (0, 1, 2, 3))
     return np.array([b0, b1 - b0, b2 - b1, b3 - b2, n - b3], dtype=np.int64)
+
+
+def _denominator(conclusive: int, n: int, postselect: bool) -> int:
+    """The shots an estimate or a joint frequency is taken over: all n, or
+    the conclusive ones in postselect mode, where none raises
+    ZeroConclusiveError."""
+    if not postselect:
+        return n
+    if conclusive == 0:
+        raise ZeroConclusiveError("all draws were inconclusive")
+    return conclusive
+
+
+def _estimate(signed: int, conclusive: int, n: int, postselect: bool) -> float:
+    """The averaged +-1 outcome product, from signed = c0 - c1 - c2 + c3 in
+    integers, inconclusive shots counting zero in raw mode and dropped in
+    postselect mode."""
+    return float(signed) / _denominator(conclusive, n, postselect)
 
 
 def _stats_from_counts(counts: np.ndarray, n: int, seed: int,
                        postselect: bool) -> SampleStats:
     counts = counts.tolist()
-    signed = float(counts[0] - counts[1] - counts[2] + counts[3])
     conclusive = n - counts[4]
-    if postselect:
-        if conclusive == 0:
-            raise ZeroConclusiveError("all draws were inconclusive")
-        estimate = signed / conclusive
-        denom = conclusive
-        mean_square = 1.0
-    else:
-        estimate = signed / n
-        denom = n
-        mean_square = conclusive / n
+    estimate = _estimate(counts[0] - counts[1] - counts[2] + counts[3], conclusive, n,
+                         postselect)
+    denom, mean_square = (conclusive, 1.0) if postselect else (n, conclusive / n)
     variance = max(mean_square - estimate * estimate, 0.0)
     if denom > 1:
         variance *= denom / (denom - 1)
     stderr = math.sqrt(variance / denom)
     count_map = dict(zip(CATEGORIES, counts))
     return SampleStats(n, count_map, estimate, stderr, seed, postselect)
+
+
+def _check_shots(n: int) -> None:
+    """Refuse a shot count below 1 or above optimize.SHOT_LIMIT."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > optimize.SHOT_LIMIT:
+        raise BudgetExceededError(
+            f"{n} shots exceed the shot limit {optimize.SHOT_LIMIT:.0e}"
+        )
 
 
 def sample_outcomes(state: CatState, a: Direction, b: Direction, n: int,
@@ -194,12 +236,7 @@ def sample_outcomes(state: CatState, a: Direction, b: Direction, n: int,
     ZeroConclusiveError
         In postselect mode when no shot was conclusive.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > optimize.SHOT_LIMIT:
-        raise BudgetExceededError(
-            f"{n} shots exceed the shot limit {optimize.SHOT_LIMIT:.0e}"
-        )
+    _check_shots(n)
     rng.check_seed(seed)
     probs = outcome_probabilities(state, a, b)
     counts = _draw_counts(probs, n, seed)

@@ -15,6 +15,19 @@ def random_direction(rng: np.random.Generator) -> Direction:
     return Direction(math.acos(cos_t), rng.uniform(0.0, 2.0 * math.pi))
 
 
+def random_directions(rng: np.random.Generator, count: int) -> list[Direction]:
+    """count successive random_direction draws, from one rng.random call.
+
+    uniform(low, high) is low + (high - low) * random(), so mapping one
+    batch of 2 * count uniforms in random_direction's order reproduces its
+    Directions bit for bit and leaves rng in the same state.
+    """
+    u = rng.random(2 * count)
+    cos_t = (-1.0 + 2.0 * u[0::2]).tolist()
+    phi = (2.0 * math.pi * u[1::2]).tolist()
+    return [Direction(math.acos(c), p) for c, p in zip(cos_t, phi)]
+
+
 def random_state(rng: np.random.Generator, two_s: int) -> CatState:
     alpha, g1, g2 = rng.uniform(-math.pi, math.pi, 3)
     return CatState(SpinQuantum(two_s), CatCoefficients(alpha, g1, g2))

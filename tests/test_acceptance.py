@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 import reference
-from conftest import nondegenerate_pair, random_direction, random_state
+from conftest import nondegenerate_pair, random_direction, random_directions, random_state
 
 import bellcat as bc
 
@@ -88,8 +88,9 @@ def test_criterion_3_integer_spin_immunity_and_half_integer_contrast(report):
                 provider = bc.full_provider(st)
                 best_s = -1.0
                 best_dirs = None
-                for _ in range(10_000):
-                    a, b, c, d = (random_direction(rng) for _ in range(4))
+                dirs = random_directions(rng, 40_000)
+                for k in range(0, 40_000, 4):
+                    a, b, c, d = dirs[k:k + 4]
                     br_ab = bc.correlation(st, a, b)
                     br_ac = bc.correlation(st, a, c)
                     br_db = bc.correlation(st, d, b)

@@ -68,7 +68,7 @@ class TestProviders:
     def test_sampled_cache_is_capped_without_changing_estimates(self, monkeypatch):
         import bellcat.inequalities as ineq
         import bellcat.sampling as sampling
-        from bellcat import AngleConfig, refine
+        from bellcat import AngleConfig, refine, rng
 
         st = singlet(SpinQuantum(1))
         start = AngleConfig((Direction(0.3, 0.1), Direction(1.2, 2.0),
@@ -79,12 +79,12 @@ class TestProviders:
         monkeypatch.setattr(ineq, "SAMPLED_CACHE_LIMIT", cap)
         draws = []
 
-        def recording(state, a, b, *args, **kwargs):
-            draws.append((a.theta, a.phi, b.theta, b.phi))
-            return real(state, a, b, *args, **kwargs)
+        def recording(probs, n, seed, entries):
+            draws.append(seed)
+            return real(probs, n, seed, entries)
 
-        real = sampling.sample_outcomes
-        monkeypatch.setattr(sampling, "sample_outcomes", recording)
+        real = sampling._count_below
+        monkeypatch.setattr(sampling, "_count_below", recording)
         inner = sampled_provider(st, 500, 3)
         asked = []
 
@@ -102,7 +102,7 @@ class TestProviders:
         expected = []
         for key in asked:
             if key not in model:
-                expected.append(key)
+                expected.append(rng.derive(3, *key))
                 if len(model) >= cap:
                     del model[next(iter(model))]
                 model[key] = True
@@ -112,26 +112,26 @@ class TestProviders:
 
     def test_sampled_shots_are_bounded_in_total(self, monkeypatch):
         import bellcat.sampling as sampling
-        from bellcat import BudgetExceededError, grid_sweep, optimize
+        from bellcat import BudgetExceededError, grid_sweep, optimize, rng
 
         draws = []
 
-        def counting(state, a, b, n, *args, **kwargs):
-            draws.append((a.theta, a.phi, b.theta, b.phi, n))
-            return real(state, a, b, n, *args, **kwargs)
+        def counting(probs, n, seed, entries):
+            draws.append((seed, n))
+            return real(probs, n, seed, entries)
 
         st = singlet(SpinQuantum(1))
         pole, other = Direction(0.0, 0.0), Direction(PI / 2, 0.0)
         estimate = sampled_provider(st, 600, 7).correlation(pole, pole)
-        real = sampling.sample_outcomes
-        monkeypatch.setattr(sampling, "sample_outcomes", counting)
+        real = sampling._count_below
+        monkeypatch.setattr(sampling, "_count_below", counting)
         monkeypatch.setattr(optimize, "SHOT_LIMIT", 1000)
         p = sampled_provider(st, 600, 7)
         # a resolution-3 sweep reads 36 distinct pairs, 21,600 shots; the
         # second draw would pass the limit and is refused before drawing
         with pytest.raises(BudgetExceededError, match="shot limit"):
             grid_sweep(p, "chsh", 3)
-        assert draws == [(0.0, 0.0, 0.0, 0.0, 600)]
+        assert draws == [(rng.derive(7, 0.0, 0.0, 0.0, 0.0), 600)]
         # the pair drawn before the refusal is still served, at no cost
         assert p.correlation(pole, pole) == estimate
         assert p.joint(pole, pole, +1, +1) >= 0.0
@@ -146,6 +146,28 @@ class TestProviders:
         with pytest.raises(BudgetExceededError, match=r"\(1200 drawn\)"):
             p.correlation(other, pole)
         assert [d[-1] for d in draws] == [600] * 3
+
+    def test_undefined_postselected_pair_is_drawn_once(self, monkeypatch):
+        # its counts are cached like any pair's, so every read raises from
+        # them, with no second draw and no second count against SHOT_LIMIT
+        import bellcat.sampling as sampling
+        from bellcat import ZeroConclusiveError, optimize
+
+        draws = []
+
+        def counting(probs, n, seed, entries):
+            draws.append(n)
+            return real(probs, n, seed, entries)
+
+        real = sampling._count_below
+        monkeypatch.setattr(sampling, "_count_below", counting)
+        monkeypatch.setattr(optimize, "SHOT_LIMIT", 100)
+        p = sampled_provider(singlet(SpinQuantum(2)), 100, 1, postselect=True)
+        eq = Direction(PI / 2, 0.0)
+        for read in (p.correlation, p.correlation, lambda a, b: p.joint(a, b, +1, +1)):
+            with pytest.raises(ZeroConclusiveError, match="^all draws were inconclusive$"):
+                read(eq, eq)
+        assert draws == [100]
 
     def test_sampled_joint_sums_to_conclusive_fraction(self):
         st = singlet(SpinQuantum(2))
@@ -162,7 +184,7 @@ class TestProviders:
         def no_draw(*args, **kwargs):
             raise AssertionError("shots were drawn")
 
-        monkeypatch.setattr("bellcat.sampling.sample_outcomes", no_draw)
+        monkeypatch.setattr("bellcat.sampling._count_below", no_draw)
         st = singlet(SpinQuantum(2))
         a, b = Direction(0.5, 0.1), Direction(1.1, 2.0)
         joints = [p.joint for p in (lc_provider(st), full_provider(st),

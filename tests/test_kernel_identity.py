@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from reference import reader_check, reader_objective_value, reader_sides
 
 from bellcat import (
+    CATEGORIES,
     INEQUALITIES,
     AngleConfig,
     CatCoefficients,
@@ -34,7 +35,10 @@ from bellcat import (
     lc_provider,
     objective_value,
     rho_elements_closed,
+    rng,
+    sample_outcomes,
     sampled_provider,
+    singlet,
     wigner_joint,
 )
 from bellcat.correlations import WEIGHT_TOL
@@ -211,6 +215,7 @@ PROVIDERS = {
     "postselected": lambda cat: full_provider(cat, "postselected"),
     "lc": lc_provider,
     "sampled": lambda cat: sampled_provider(cat, 40, 5),
+    "sampled postselected": lambda cat: sampled_provider(cat, 40, 5, postselect=True),
 }
 # Poles, theta outside [0, pi], angles past +-2 pi, negative and tiny negative
 # phi, signed zeros, subnormals; the evaluator also sees non-finite angles.
@@ -231,11 +236,10 @@ def without_axes(cat):
     return CorrelationProvider("full", full.correlation, full.joint)
 
 
-# Every way a provider is read: the exact providers through their axes
+# Every way a provider is read: the built-in providers through their axes
 # kernels, the others through the Direction fallback, with or without joint.
 ORACLE_PROVIDERS = {
     **PROVIDERS,
-    "sampled postselected": lambda cat: sampled_provider(cat, 40, 5, postselect=True),
     "no axes": without_axes,
     "no joint": lambda cat: CorrelationProvider("full", full_provider(cat).correlation),
 }
@@ -307,6 +311,8 @@ def test_kernel_path_matches_reader_oracle(state, kind, label, angles):
        a=st.builds(Direction, raw_angle, raw_angle), b=st.builds(Direction, raw_angle, raw_angle))
 @example(state=DEGENERATE, label="postselected",
          a=Direction(math.pi / 2, 0.0), b=Direction(math.pi / 2, math.pi / 2))
+@example(state=singlet(SpinQuantum(2)), label="sampled postselected",
+         a=Direction(math.pi / 2, 0.0), b=Direction(math.pi / 2, 0.0))
 def test_kernel_pair_matches_reader(state, label, a, b):
     provider = PROVIDERS[label](state)
     for joint in (False, True):
@@ -337,10 +343,42 @@ def test_providers_without_kernel_fall_back_to_the_reader():
     cat = CatState(SpinQuantum(1), CatCoefficients(math.pi / 4))
     full = full_provider(cat)
     a, b = Direction(0.1, 0.2), Direction(0.3, 0.4)
-    for provider in (sampled_provider(cat, 40, 5),
-                     CorrelationProvider("full", full.correlation, full.joint)):
-        assert provider.axes is None
-        for spec in INEQUALITIES.values():
-            prepare, pair = spec.kernel(provider)
-            assert prepare is Direction
-            assert pair(a, b) == spec.reader(provider)(a, b)
+    provider = CorrelationProvider("full", full.correlation, full.joint)
+    for spec in INEQUALITIES.values():
+        prepare, pair = spec.kernel(provider)
+        assert prepare is Direction
+        assert pair(a, b) == spec.reader(provider)(a, b)
+
+
+# The provider's reads: the estimate, then each joint in SIGNS order.
+READS = (None, *SIGNS)
+
+
+@kernel
+@given(two_s=st.sampled_from([1, 2, 3, 4, 59, 60, 61]),
+       coeffs=st.tuples(coefficient, coefficient, coefficient),
+       a=st.builds(Direction, raw_angle, raw_angle), b=st.builds(Direction, raw_angle, raw_angle),
+       n=st.sampled_from([1, 2, 40, 700]), seed=st.integers(0, 2**64 - 1),
+       postselect=st.booleans(), order=st.permutations(READS))
+@example(two_s=2, coeffs=(math.pi / 4, math.pi, 0.0), a=Direction(math.pi / 2, 0.0),
+         b=Direction(math.pi / 2, 0.0), n=100, seed=1, postselect=True, order=READS)
+@example(two_s=3, coeffs=(0.2, 0.1, 0.2), a=Direction(-0.0, -0.0), b=Direction(math.pi, 0.0),
+         n=700, seed=5, postselect=False, order=READS[::-1])
+def test_sampled_provider_reads_what_sample_outcomes_draws(two_s, coeffs, a, b, n, seed,
+                                                          postselect, order):
+    # each value, in any read order, is sample_outcomes' for the pair's own
+    # substream: the estimate, and each count over the shots it averages
+    state = CatState(SpinQuantum(two_s), CatCoefficients(*coeffs))
+    provider = sampled_provider(state, n, seed, postselect=postselect)
+    pair_seed = rng.derive(seed, a.theta, a.phi, b.theta, b.phi)
+    stats = outcome(sample_outcomes, state, a, b, n, pair_seed, postselect)
+    for signs in order:
+        if signs is None:
+            got = outcome(provider.correlation, a, b)
+            want = stats if isinstance(stats, tuple) else stats.estimate
+        else:
+            got = outcome(provider.joint, a, b, *signs)
+            want = stats if isinstance(stats, tuple) else (
+                stats.counts[CATEGORIES[SIGNS.index(signs)]]
+                / (stats.n_conclusive if postselect else n))
+        assert same(got, want), (signs, got, want)
