@@ -29,8 +29,6 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .correlations import correlation
 from .inequalities import (INEQUALITIES, CorrelationProvider, check, full_provider,
@@ -240,6 +238,8 @@ def _sweep_pieces(fmt: str, kind: str, payload: dict, kept: list):
     -0.0 keep their own text; grid angles are finite, so repr is also
     their JSON text.
     """
+    import numpy as np
+
     if fmt == "csv":
         opening = _csv_line(["kind", *_angle_columns(INEQUALITIES[kind].arity), "value"]) + "\n"
         lead, sep, tail, between, closing = kind + ",", ",", "", "\n", "\n"

@@ -20,8 +20,6 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
 
-import numpy as np
-
 from .spins import Direction, SpinQuantum, spin_matrices
 from .states import CatState
 
@@ -64,6 +62,8 @@ class DiagonalElements:
     nlc: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         for name in ("lc", "nlc"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (4,):
@@ -232,6 +232,8 @@ def rho_elements_closed(state: CatState, a: Direction, b: Direction) -> Diagonal
     outcome is flipped; it is what makes integer and half-integer spins
     behave differently.
     """
+    import numpy as np
+
     lc, nlc = _closed_parts(state, a, b)
     return DiagonalElements(np.array(lc), np.array(nlc))
 
@@ -310,6 +312,8 @@ def unrestricted_correlation(state: CatState, a: Direction, b: Direction) -> flo
     -s^2 cos(theta_a) cos(theta_b); transverse spin components only
     connect m values differing by 1, and the two branches differ by 2s.
     """
+    import numpy as np
+
     mats = spin_matrices(state.s)
     op_a = mats.along(a)
     op_b = mats.along(b)

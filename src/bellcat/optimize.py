@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from operator import add
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import rng
 from .correlations import DegeneratePostselectionError
 from .inequalities import CorrelationProvider, InequalityReport, check, evaluator, inequality
@@ -81,10 +79,14 @@ class AngleConfig:
 
     def flat(self) -> np.ndarray:
         """Angles interleaved as (theta_1, phi_1, theta_2, phi_2, ...)."""
+        import numpy as np
+
         return np.array([v for d in self.directions for v in (d.theta, d.phi)])
 
     @classmethod
     def from_flat(cls, values) -> "AngleConfig":
+        import numpy as np
+
         vals = np.asarray(values, dtype=float).ravel()
         if vals.size % 2 != 0:
             raise ValueError(f"need an even number of angles, got {vals.size}")
@@ -146,6 +148,8 @@ def _better(value: float, best: float) -> bool:
 
 
 def _grid_directions(resolution: int) -> list[Direction]:
+    import numpy as np
+
     if resolution == 1:
         return [Direction(0.0, 0.0)]
     thetas = np.linspace(0.0, math.pi, resolution)
@@ -191,6 +195,8 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
         If a sink is given and resolution**(2 * arity), the rows it
         receives, exceeds EXPORT_ROW_LIMIT.
     """
+    import numpy as np
+
     spec = inequality(kind)
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
@@ -261,6 +267,8 @@ def grid_sweep(provider: CorrelationProvider, kind: str, resolution: int,
 
 
 def _simplex_around(x0: np.ndarray, edge: float) -> np.ndarray:
+    import numpy as np
+
     simplex = np.tile(x0, (x0.size + 1, 1))
     for i in range(x0.size):
         simplex[i + 1, i] += edge
@@ -288,6 +296,8 @@ def _nelder_mead(f: Callable[[list[float]], float], sim: list[list[float]], fato
     rows in order, as its axis-0 reduction does (builtin sum would not), and
     a NaN value fails the spread test, as it does there.
     """
+    import numpy as np
+
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     n = len(sim[0])
     fsim = [f(x) for x in sim]
@@ -435,6 +445,8 @@ def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
         If the starts, extra ones included, times max_iter (at least 1)
         exceed EVALUATION_LIMIT; nothing is drawn.
     """
+    import numpy as np
+
     dim = 2 * inequality(kind).arity
     _check_starts(n_starts, len(extra_starts), seed, max_iter)
 

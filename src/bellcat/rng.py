@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import struct
 
-import numpy as np
-
 __all__ = ["uniforms", "integers", "derive", "check_seed"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -26,31 +24,34 @@ def _word(value: int) -> np.ndarray:
     np.uint64 scalar, which matters for small draws; building one costs
     more, so values used once stay scalars.
     """
+    import numpy as np
+
     a = np.array(value, dtype=np.uint64)
     a.setflags(write=False)
     return a
 
-
-_MIX1 = _word(0xBF58476D1CE4E5B9)
-_MIX2 = _word(0x94D049BB133111EB)
-_SHIFT11 = _word(11)
-_SHIFT27 = _word(27)
-_SHIFT30 = _word(30)
-_SHIFT31 = _word(31)
 
 # Words filled per add of the step table, and the table's largest size
 # (256 KB): a sampled-provider pair of up to 32,768 shots takes one add and
 # a sampling block (sampling._BLOCK) two; a smaller table costs more adds.
 _CHUNK = 1 << 15
 
-# _steps[i] = (i + 1) * golden mod 2**64, read-only; built at first use and
-# grown to the largest chunk asked for, at most _CHUNK words.
-_steps = np.empty(0, dtype=np.uint64)
+# The finalizer's multipliers and shifts as _word constants, and
+# _steps[i] = (i + 1) * golden mod 2**64, read-only.  Both are built at the
+# first draw, so importing this module loads no numpy; the table then grows
+# to the largest chunk asked for, at most _CHUNK words.
+_MIX1 = _MIX2 = _SHIFT11 = _SHIFT27 = _SHIFT30 = _SHIFT31 = None
+_steps = ()
 
 
 def _step_table(count: int) -> np.ndarray:
-    global _steps
+    global _steps, _MIX1, _MIX2, _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31
+    if _MIX1 is None:
+        _MIX1, _MIX2 = _word(0xBF58476D1CE4E5B9), _word(0x94D049BB133111EB)
+        _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = map(_word, (11, 27, 30, 31))
     if count > len(_steps):
+        import numpy as np
+
         table = np.arange(1, count + 1, dtype=np.uint64)
         # array arithmetic on uint64 wraps mod 2**64 without a warning
         table *= np.uint64(_GOLDEN)
@@ -78,6 +79,8 @@ def integers(seed: int, count: int, start: int = 0, *,
     can reuse both.  The words never depend on the buffers or on what they
     held before; without `out` every call returns a fresh array.
     """
+    import numpy as np
+
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     z = np.empty(count, dtype=np.uint64) if out is None else out
@@ -97,6 +100,8 @@ def integers(seed: int, count: int, start: int = 0, *,
 
 def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     """`count` uniforms on [0, 1) with 53-bit resolution, as float64."""
+    import numpy as np
+
     words = integers(seed, count, start)
     u = np.right_shift(words, _SHIFT11, words).astype(np.float64)
     u *= 2.0**-53

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import optimize, rng
 from .correlations import DegeneratePostselectionError, rho_elements_closed
 from .optimize import BudgetExceededError
@@ -91,6 +89,8 @@ def outcome_probabilities(state: CatState, a: Direction, b: Direction) -> np.nda
     Entries follow CATEGORIES order.  The inconclusive entry is pinned to
     exactly 0.0 for s = 1/2.
     """
+    import numpy as np
+
     totals = rho_elements_closed(state, a, b).totals.tolist()
     return np.array(_probabilities(totals, state.s.two_s == 1))
 
@@ -124,6 +124,8 @@ def _count_below(probs, n: int, seed: int, entries) -> list:
     below CDF entry k, for each k in entries; the others are None.  Only the
     entries asked for cost a pass over the words, and none is drawn when
     every such entry is 0 or 1."""
+    import numpy as np
+
     p0, p1, p2, p3, p4 = probs
     # np.cumsum's sequential order
     c1 = p0 + p1
@@ -164,6 +166,8 @@ def _count_below(probs, n: int, seed: int, entries) -> list:
 
 def _draw_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
     """The five category counts of n shots of stream seed."""
+    import numpy as np
+
     b0, b1, b2, b3 = _count_below(probs.tolist(), n, seed, (0, 1, 2, 3))
     return np.array([b0, b1 - b0, b2 - b1, b3 - b2, n - b3], dtype=np.int64)
 

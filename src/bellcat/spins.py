@@ -12,8 +12,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "SpinQuantum",
     "Direction",
@@ -76,6 +74,8 @@ class SpinQuantum:
 
     def m_values(self) -> np.ndarray:
         """Magnetic quantum numbers in storage order: s, s-1, ..., -s."""
+        import numpy as np
+
         return self.s - np.arange(self.dim, dtype=float)
 
 
@@ -121,12 +121,16 @@ class Direction:
 
     def unit_vector(self) -> np.ndarray:
         """Cartesian components (sin t cos p, sin t sin p, cos t)."""
+        import numpy as np
+
         st = math.sin(self.theta)
         return np.array(
             [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
         )
 
     def dot(self, other: "Direction") -> float:
+        import numpy as np
+
         return float(np.dot(self.unit_vector(), other.unit_vector()))
 
 
@@ -143,6 +147,8 @@ class DickeKet:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         a = np.array(self.amps, dtype=complex)
         if a.shape != (self.s.dim,):
             raise ValueError(f"expected {self.s.dim} amplitudes, got shape {a.shape}")
@@ -196,6 +202,8 @@ def coherent_state(s: SpinQuantum, direction: Direction, sign: int = +1) -> Dick
     BudgetExceededError
         If 2s + 1 exceeds optimize.COHERENT_DIM_LIMIT; nothing is allocated.
     """
+    import numpy as np
+
     # optimize imports this module, so its limits are read at call time.
     from . import optimize
 
@@ -261,6 +269,8 @@ def spin_matrices(s: SpinQuantum) -> SpinMatrices:
     <m+1|S+|m> = sqrt(s(s+1) - m(m+1)); sx and sy follow as the Hermitian
     combinations (S+ + S-)/2 and (S+ - S-)/(2i).
     """
+    import numpy as np
+
     dim = s.dim
     m = s.m_values()
     sz = np.diag(m.astype(complex))
@@ -292,6 +302,8 @@ def berry_area(n1: Direction, n2: Direction) -> float:
         directions are within DEGENERACY_TOL of parallel or antiparallel:
         the triangle then collapses and the area is not unique.
     """
+    import numpy as np
+
     for n in (n1, n2):
         if n.theta < DEGENERACY_TOL or math.pi - n.theta < DEGENERACY_TOL:
             raise DegenerateTriangleError(

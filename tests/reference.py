@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from bellcat import (AngleConfig, CatState, CorrelationProvider, DickeKet, Direction,
-                     InequalityReport, SpinQuantum, coherent_state, objective_value, sampling,
-                     spin_matrices)
+                     InequalityReport, SpinQuantum, coherent_state, sampling, spin_matrices)
 from bellcat.correlations import _IMAG_TOL, DiagonalElements, InternalConsistencyError
-from bellcat.inequalities import VIOLATION_TOL, inequality
+from bellcat.inequalities import VIOLATION_TOL, evaluator, inequality
 
 
 # --- spins ----------------------------------------------------------------
@@ -312,10 +311,11 @@ def sweep_oracle(provider: CorrelationProvider, kind: str,
     """optimize.grid_sweep's (best_value, best_config) by brute force.
 
     objective_value at every combination of grid directions, listed in
-    lexicographic order; the winner is the first combination with the
-    largest value that is not NaN, or the first combination if every value
-    is NaN.  The grid is rebuilt here: theta on linspace(0, pi), phi on the
-    same inclusive spacing over 2 pi, and the pole alone at resolution 1.
+    lexicographic order and read through one evaluator; the winner is the
+    first combination with the largest value that is not NaN, or the first
+    combination if every value is NaN.  The grid is rebuilt here: theta on
+    linspace(0, pi), phi on the same inclusive spacing over 2 pi, and the
+    pole alone at resolution 1.
     """
     if resolution == 1:
         grid = [Direction(0.0, 0.0)]
@@ -324,7 +324,8 @@ def sweep_oracle(provider: CorrelationProvider, kind: str,
                 for t in np.linspace(0.0, math.pi, resolution) for j in range(resolution)]
     configs = [AngleConfig(dirs)
                for dirs in itertools.product(grid, repeat=inequality(kind).arity)]
-    values = [objective_value(provider, kind, config) for config in configs]
+    spec, lhs_rhs = evaluator(provider, kind)
+    values = [spec.objective(*lhs_rhs(config.flat())) for config in configs]
     numbers = [v for v in values if not math.isnan(v)]
     k = values.index(max(numbers)) if numbers else 0
     return values[k], configs[k]

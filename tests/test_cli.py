@@ -1023,23 +1023,64 @@ GOLDEN_DIGESTS = {
 }
 
 
+def run_digest(code, out, err, work):
+    """sha256 of (exit code, stdout, stderr, artifact bytes or None) of a run
+    in the working directory work."""
+    artifact = next((path.read_bytes() for path in (work / "out.json", work / "out.csv")
+                     if path.exists()), None)
+    return hashlib.sha256(repr((code, out, err, artifact)).encode()).hexdigest()
+
+
 def golden_digest(argv, work):
-    """sha256 of (exit code, stdout, stderr, artifact bytes or None) of one
-    in-process run in the working directory work."""
+    """run_digest of one in-process run in the working directory work."""
     (work / "run.json").write_text(GOLDEN_CONFIG)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    artifact = next((path.read_bytes() for path in (work / "out.json", work / "out.csv")
-                     if path.exists()), None)
-    return hashlib.sha256(repr((code, out.getvalue(), err.getvalue(), artifact)).encode()
-                          ).hexdigest()
+    return run_digest(code, out.getvalue(), err.getvalue(), work)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_golden_bytes(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     assert golden_digest(GOLDEN_RUNS[name], tmp_path) == GOLDEN_DIGESTS[name]
+
+
+# The golden runs that need only math: correlate, check on the lc provider
+# ("check") and the full one ("check-violated"), their artifacts, and version.
+NUMPY_FREE_RUNS = ["version", "correlate", "correlate-json", "correlate-csv", "check",
+                   "check-json", "check-csv", "check-violated", "unwritable-output"]
+
+# Runs each named argv in its own directory with numpy blocked before the CLI
+# is imported; prints {name: [exit code, stdout, stderr]} as JSON.
+NUMPY_BLOCKED_RUNNER = """\
+import contextlib, io, json, os, sys
+sys.modules["numpy"] = None
+from bellcat.cli import main
+runs, root, results = json.loads(sys.argv[1]), sys.argv[2], {}
+for name, argv in runs.items():
+    os.chdir(os.path.join(root, name))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results[name] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps(results))
+"""
+
+
+def test_short_commands_run_without_numpy(tmp_path):
+    # an import of numpy raises ImportError in the child, which no exit code
+    # maps: each run must reach its golden bytes, the same as with numpy
+    for name in NUMPY_FREE_RUNS:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "run.json").write_text(GOLDEN_CONFIG)
+    runs = {name: GOLDEN_RUNS[name] for name in NUMPY_FREE_RUNS}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED_RUNNER, json.dumps(runs),
+                           str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert {name: run_digest(*results[name], tmp_path / name) for name in NUMPY_FREE_RUNS} == {
+        name: GOLDEN_DIGESTS[name] for name in NUMPY_FREE_RUNS}
 
 
 # command -> (the other flags of a run, a direction flag, a negative value for it)
@@ -1121,6 +1162,33 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
+
+    def test_setup_and_scalar_reads_leave_numpy_unloaded(self):
+        # the benchmark workloads' setup, then scalar reads through the exact
+        # providers: none of it builds an array
+        code = (
+            "import sys\n"
+            "import bellcat\n"
+            "import bellcat.cli\n"
+            "from bellcat import *\n"
+            "bellcat.cli.build_parser()\n"
+            "axes = [Direction(0.3, 0.2), Direction(1.2, 0.1), Direction(2.0, 4.0),\n"
+            "        Direction(PI / 2, 0.0)]\n"
+            "for two_s in (1, 2, 3, 4):\n"
+            "    state = CatState(SpinQuantum(two_s), CatCoefficients(0.3, 0.1, 0.2))\n"
+            "    sampled_provider(state, 1000, 7)\n"
+            "    for mode in ('raw', 'postselected'):\n"
+            "        correlation(state, *axes[:2], mode)\n"
+            "    for p in (full_provider(state), full_provider(state, 'postselected'),\n"
+            "              lc_provider(state)):\n"
+            "        p.correlation(*axes[:2])\n"
+            "        for kind, spec in INEQUALITIES.items():\n"
+            "            check(p, kind, *axes[:spec.arity])\n"
+            "print('numpy' in sys.modules)\n"
+        ).replace("PI", repr(PI))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy.optimize alone took about three quarters of the CLI's import

@@ -650,6 +650,48 @@ class TestMultistart:
             multistart_refine(full_half(), "chsh", 10, seed=1, max_iter=10)
 
 
+# Postselected CHSH winners on the singlets, recorded once to 4 decimals:
+# grid_sweep at resolution 6, then multistart_refine from its winner and 16
+# random starts, seed 5, max_iter 3000.  The raw winners of 2s >= 2 were the
+# pole for all four directions.
+POSTSELECTED_CHSH_WINNERS = {
+    2: [1.1802, 1.0314, 2.2395, 5.7535, 0.9071, 1.029, 3.0297, 3.6562],
+    3: [1.8782, 3.3702, 0.6502, 1.6343, 1.5572, 0.251, 1.8414, 4.4605],
+    4: [0.9721, 5.1782, 1.9378, 1.6433, 1.8912, 2.2684, 1.3621, 0.0354],
+    5: [1.7956, 5.1603, 1.5296, 1.9546, 1.2207, 2.398, 1.4544, 5.0526],
+}
+POLE = AngleConfig((Direction(0.0, 0.0),) * 4)
+
+
+class TestParityMaxima:
+    """Where the paper's claims hold: raw against postselected CHSH maxima.
+
+    Raw, only s = 1/2 violates; postselected, every half-integer singlet
+    reaches 2 sqrt 2 and the integer ones sqrt 5, above the local bound.
+    """
+
+    def test_spin_half_reaches_tsirelson_in_both_modes(self):
+        for mode in ("raw", "postselected"):
+            result = refine(full_provider(singlet(SpinQuantum(1)), mode), "chsh", TSIRELSON,
+                            max_iter=3000)
+            assert result.best_value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("two_s", sorted(POSTSELECTED_CHSH_WINNERS))
+    def test_postselection_alone_violates(self, two_s):
+        state = singlet(SpinQuantum(two_s))
+        start = AngleConfig.from_flat(POSTSELECTED_CHSH_WINNERS[two_s])
+        post = refine(full_provider(state, "postselected"), "chsh", start, max_iter=3000)
+        bound = math.sqrt(5.0) if two_s % 2 == 0 else 2.0 * math.sqrt(2.0)
+        assert post.converged
+        assert post.best_value == pytest.approx(bound, abs=1e-9)
+        # raw, the same start climbs no higher than the local bound, which
+        # the pole reaches
+        raw = [refine(full_provider(state), "chsh", x, max_iter=3000).best_value
+               for x in (start, POLE)]
+        assert max(raw) <= 2.0 + 1e-9
+        assert raw[1] == 2.0
+
+
 class TestResultPayload:
     def test_to_dict_and_report(self):
         p = full_half()

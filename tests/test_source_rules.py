@@ -10,6 +10,9 @@ Each inequality is read in one place: inequalities.evaluator reads it at
 one configuration for check and the searches, and optimize.grid_sweep
 reads it on its broadcast pair table.  No other function in the package
 touches an Inequality's kernel or sides.
+
+numpy is imported only inside the functions that build or read arrays, so
+importing the package, and the scalar closed forms, never load it.
 """
 
 import ast
@@ -60,3 +63,38 @@ def test_the_kernel_rule_sees_calls_and_references():
                      "class C:\n    def m(self, s):\n        s.sides(1)\n"
                      "def k(s):\n    s.sides = 1\n    return kernel(s)\n")
     assert kernel_readers(tree) == ["f", "g", "C"]
+
+
+def is_numpy(module: str) -> bool:
+    return module == "numpy" or module.startswith("numpy.")
+
+
+def numpy_imports_on_import(tree: ast.AST) -> list[int]:
+    """Line numbers of numpy imports that run when the module is imported:
+    any outside a function body (module level, a class body, or under a
+    module-level if, try or with)."""
+    lines = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if (isinstance(node, ast.Import) and any(is_numpy(a.name) for a in node.names)
+                or isinstance(node, ast.ImportFrom) and not node.level
+                and is_numpy(node.module or "")):
+            lines.append(node.lineno)
+        lines += numpy_imports_on_import(node)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_numpy_is_imported_only_inside_functions(path):
+    assert numpy_imports_on_import(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_numpy_rule_sees_imports_that_run_on_import():
+    tree = ast.parse("import numpy as np\nfrom numpy import linalg\nimport os, numpy.linalg\n"
+                     "class C:\n    import numpy\n"
+                     "try:\n    import numpy\nexcept ImportError:\n    pass\n"
+                     "def f():\n    import numpy as np\n"
+                     "class D:\n    def m(self):\n        from numpy import sum\n"
+                     "import numpyro\nfrom .numpy import x\n")
+    assert numpy_imports_on_import(tree) == [1, 2, 3, 5, 7]
