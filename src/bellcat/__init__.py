@@ -9,18 +9,47 @@ maximally violating measurement angles.  The physics headline is a parity
 effect: for integer s the non-local part cancels identically and no
 inequality is ever violated, while half-integer s violates up to the
 Tsirelson bound, the difference being a (-1)^(2s) geometric phase.
+
+Names load on first use: ``import bellcat`` imports no submodule, and the
+first read of a name imports the modules up to the one that defines it,
+so code that only evaluates the closed forms never loads the searches or
+the sampler.
 """
 
-from .spins import *
-from .states import *
-from .correlations import *
-from .inequalities import *
-from .optimize import *
-from .sampling import *
+from importlib import import_module as _import
 
 __version__ = "0.1.0"
 
-# Each module's __all__ is what the package exports; importing a submodule
-# binds its name here, so the lists are read from the modules themselves.
-__all__ = ["__version__", *spins.__all__, *states.__all__, *correlations.__all__,
-           *inequalities.__all__, *optimize.__all__, *sampling.__all__]
+# The library modules whose __all__ the package exports, in dependency order:
+# a name resolves from the first that lists it, after importing the ones
+# before it, which that module imports anyway.
+_MODULES = ("spins", "states", "correlations", "inequalities", "optimize", "sampling")
+
+
+def __getattr__(name: str):
+    """Resolve __all__, a submodule or a public name on first use (PEP 562)
+    and bind it here, so later reads are plain attribute lookups."""
+    if name == "__all__":
+        value = ["__version__", *(n for m in _MODULES for n in _import(f"{__name__}.{m}").__all__)]
+    elif name.startswith("__") and name.endswith("__"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        try:
+            # the import system binds a submodule here itself
+            return _import(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+        for module_name in _MODULES:
+            module = _import(f"{__name__}.{module_name}")
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__getattr__("__all__"), *_MODULES})

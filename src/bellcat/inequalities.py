@@ -12,22 +12,26 @@ searches in optimize alike.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .correlations import (
     _axis,
+    _closed_parts,
     _conclusive,
     _elements,
     _sign_index,
+    _weight,
     correlation,
     lc_correlation_closed,
     pair_kernel,
-    rho_elements_closed,
     wigner_joint,
 )
+# Unused here, but the benchmark's tracer patches this binding by name, and
+# tests/test_exports.py::test_tracer_bindings_exist pins it, until the tracer
+# reads counters instead (ROADMAP item 3).
+from .correlations import rho_elements_closed  # noqa: F401
 from .spins import Direction, canonical_angles
 from .states import CatState
 
@@ -101,7 +105,7 @@ def full_provider(state: CatState, mode: str = "raw") -> CorrelationProvider:
     def joint(a: Direction, b: Direction, sign_a: int, sign_b: int) -> float:
         p = wigner_joint(state, a, b, sign_a, sign_b, part="full")
         if mode == "postselected":
-            p /= _conclusive(rho_elements_closed(state, a, b).weight)
+            p /= _conclusive(_weight(*_closed_parts(state, a, b)))
         return p
 
     return CorrelationProvider("full", corr, joint, partial(pair_kernel, state, "full", mode))
@@ -221,6 +225,8 @@ class InequalityReport:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict())
 
 

@@ -1,5 +1,6 @@
 """Inequality checks over the three provider kinds."""
 
+import itertools
 import json
 import math
 import re
@@ -10,16 +11,19 @@ from conftest import random_direction, random_state
 
 from bellcat import (
     CorrelationProvider,
+    DegeneratePostselectionError,
     Direction,
     InequalityReport,
     SpinQuantum,
     check,
     full_provider,
     lc_provider,
+    rho_elements_closed,
     sampled_provider,
     singlet,
     wigner_joint,
 )
+from bellcat.correlations import _conclusive
 
 PI = math.pi
 
@@ -207,6 +211,27 @@ class TestProviders:
     def test_full_mode_validated(self):
         with pytest.raises(ValueError):
             full_provider(singlet(SpinQuantum(1)), mode="weird")
+
+    def test_postselected_full_joint_divides_by_the_closed_weight(self):
+        # bit for bit the joint divided by rho_elements_closed(...).weight,
+        # poles and zero-weight equatorial pairs (2s = 2, 4) included
+        rng = np.random.default_rng(24)
+        poles = [Direction(0.0, 0.0), Direction(PI, 0.0), Direction(PI, 2.5),
+                 Direction(PI / 2, 0.0), Direction(PI / 2, PI)]
+        for two_s in (1, 2, 3, 4):
+            for st in (singlet(SpinQuantum(two_s)), random_state(rng, two_s)):
+                joint = full_provider(st, "postselected").joint
+                axes = poles + [random_direction(rng) for _ in range(15)]
+                for a, b in itertools.product(axes, repeat=2):
+                    for signs in itertools.product((+1, -1), repeat=2):
+                        p = wigner_joint(st, a, b, *signs, part="full")
+                        try:
+                            want = p / _conclusive(rho_elements_closed(st, a, b).weight)
+                        except DegeneratePostselectionError:
+                            with pytest.raises(DegeneratePostselectionError):
+                                joint(a, b, *signs)
+                            continue
+                        assert repr(joint(a, b, *signs)) == repr(want)
 
 
 class TestBell:
