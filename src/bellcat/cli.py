@@ -343,7 +343,7 @@ def _cmd_optimize(args, cfg: dict) -> tuple:
     resolution = _pick(args, cfg, "resolution", "optimize.resolution")
     provider = _provider_from(args, cfg, state)
     # the sweep's winner is one more start: refuse bad search arguments before sweeping
-    _check_starts(starts, resolution is not None, seed, max_iter)
+    _check_starts(starts, resolution is not None, seed, max_iter, tol)
     extra = () if resolution is None else (grid_sweep(provider, kind, resolution).best_config,)
     result = multistart_refine(provider, kind, starts, seed, max_iter=max_iter, tol=tol,
                                extra_starts=extra)

@@ -16,11 +16,10 @@ dyad-summation oracle in tests/reference.py.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
 
-from .spins import Direction, SpinQuantum, spin_matrices
+from .spins import Direction, SpinQuantum, _Record, spin_matrices
 from .states import CatState
 
 __all__ = [
@@ -49,8 +48,7 @@ class InternalConsistencyError(RuntimeError):
     """A quantity that must be real came out with a significant imaginary part."""
 
 
-@dataclass(frozen=True)
-class DiagonalElements:
+class DiagonalElements(_Record):
     """Outcome probabilities split into local and non-local parts.
 
     lc[i] and nlc[i] are the two contributions to <i|rho|i> for outcome
@@ -61,15 +59,15 @@ class DiagonalElements:
     lc: np.ndarray
     nlc: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(self, lc: np.ndarray, nlc: np.ndarray) -> None:
         import numpy as np
 
-        for name in ("lc", "nlc"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name, v in (("lc", lc), ("nlc", nlc)):
+            arr = np.asarray(v, dtype=float)
             if arr.shape != (4,):
                 raise ValueError(f"{name} must have shape (4,), got {arr.shape}")
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            self.__dict__[name] = arr
 
     @property
     def totals(self) -> np.ndarray:
@@ -81,8 +79,7 @@ class DiagonalElements:
         return float(_weight(self.lc, self.nlc))
 
 
-@dataclass(frozen=True)
-class CorrelationBreakdown:
+class CorrelationBreakdown(_Record):
     """The +-1 product correlation and its local/non-local split.
 
     In raw mode inconclusive outcomes count as zero and p_total lies in
@@ -100,14 +97,12 @@ class CorrelationBreakdown:
 
     def __init__(self, p_total: float, p_lc: float, p_nlc: float,
                  postselect_weight: float, mode: str) -> None:
-        # Filled directly: the generated frozen __init__ sets each field
-        # through object.__setattr__, about a third of a correlation call.
         d = self.__dict__
         d["p_total"], d["p_lc"], d["p_nlc"] = p_total, p_lc, p_nlc
         d["postselect_weight"], d["mode"] = postselect_weight, mode
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _axis(two_s: int, theta: float, phi: float) -> tuple[float, float, float]:

@@ -12,7 +12,6 @@ searches in optimize alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -32,7 +31,7 @@ from .correlations import (
 # tests/test_exports.py::test_tracer_bindings_exist pins it, until the tracer
 # reads counters instead (ROADMAP item 3).
 from .correlations import rho_elements_closed  # noqa: F401
-from .spins import Direction, canonical_angles
+from .spins import Direction, _Record, canonical_angles
 from .states import CatState
 
 __all__ = [
@@ -54,8 +53,7 @@ VIOLATION_TOL = 1e-9
 SAMPLED_CACHE_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class CorrelationProvider:
+class CorrelationProvider(_Record):
     """Source of pair correlations P(a, b) and joint probabilities.
 
     provenance is one of "lc-only", "full", "sampled".  joint(a, b,
@@ -74,8 +72,13 @@ class CorrelationProvider:
 
     provenance: str
     correlation: Callable[[Direction, Direction], float]
-    joint: Optional[Callable[[Direction, Direction, int, int], float]] = None
-    axes: Optional[Callable[[bool], tuple[Callable, Callable]]] = None
+    joint: Optional[Callable[[Direction, Direction, int, int], float]]
+    axes: Optional[Callable[[bool], tuple[Callable, Callable]]]
+
+    def __init__(self, provenance, correlation, joint=None, axes=None) -> None:
+        d = self.__dict__
+        d["provenance"], d["correlation"] = provenance, correlation
+        d["joint"], d["axes"] = joint, axes
 
 
 def lc_provider(state: CatState) -> CorrelationProvider:
@@ -198,8 +201,7 @@ def sampled_provider(state: CatState, n: int, seed: int,
     return CorrelationProvider("sampled", corr, joint, axes)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(_Record):
     """Outcome of one inequality check at one angle configuration.
 
     margin >= 0 means satisfied; violated is margin < -VIOLATION_TOL.  The
@@ -213,6 +215,11 @@ class InequalityReport:
     margin: float
     violated: bool
     config: tuple[Direction, ...]
+
+    def __init__(self, kind, lhs, rhs, margin, violated, config) -> None:
+        d = self.__dict__
+        d["kind"], d["lhs"], d["rhs"], d["margin"] = kind, lhs, rhs, margin
+        d["violated"], d["config"] = violated, config
 
     def to_dict(self) -> dict:
         return {
@@ -230,8 +237,7 @@ class InequalityReport:
         return json.dumps(self.to_dict())
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(_Record):
     """One Bell-type inequality, written once for every caller.
 
     The inequality reads one value per direction-index pair in pairs:
@@ -247,8 +253,13 @@ class Inequality:
     pairs: tuple[tuple[int, int], ...]
     joint: bool
     sides: Callable[..., tuple]
-    lower: bool = False
-    maximize_lhs: bool = False
+    lower: bool
+    maximize_lhs: bool
+
+    def __init__(self, arity, pairs, joint, sides, lower=False, maximize_lhs=False) -> None:
+        d = self.__dict__
+        d["arity"], d["pairs"], d["joint"], d["sides"] = arity, pairs, joint, sides
+        d["lower"], d["maximize_lhs"] = lower, maximize_lhs
 
     def reader(self, provider: CorrelationProvider) -> Callable[[Direction, Direction], float]:
         """The provider callable this inequality reads, as a function of two axes."""

@@ -22,14 +22,13 @@ so a caller that keeps every row holds 8 B per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
 from typing import Callable, Optional
 
 from . import rng
 from .correlations import DegeneratePostselectionError
 from .inequalities import CorrelationProvider, InequalityReport, check, evaluator, inequality
-from .spins import Direction
+from .spins import Direction, _Record
 
 __all__ = [
     "AngleConfig",
@@ -71,11 +70,13 @@ class BudgetExceededError(ValueError):
     COHERENT_DIM_LIMIT."""
 
 
-@dataclass(frozen=True)
-class AngleConfig:
+class AngleConfig(_Record):
     """An ordered tuple of measurement directions."""
 
     directions: tuple[Direction, ...]
+
+    def __init__(self, directions: tuple[Direction, ...]) -> None:
+        self.__dict__["directions"] = directions
 
     def flat(self) -> np.ndarray:
         """Angles interleaved as (theta_1, phi_1, theta_2, phi_2, ...)."""
@@ -96,8 +97,7 @@ class AngleConfig:
         return cls(dirs)
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(_Record):
     """Best configuration found by a sweep or refinement.
 
     best_value is the raw objective: the |combination| for "chsh", and the
@@ -111,7 +111,12 @@ class OptimizationResult:
     best_value: float
     evaluations: int
     converged: bool
-    trace: Optional[tuple[tuple[int, float], ...]] = None
+    trace: Optional[tuple[tuple[int, float], ...]]
+
+    def __init__(self, kind, best_config, best_value, evaluations, converged, trace=None) -> None:
+        d = self.__dict__
+        d["kind"], d["best_config"], d["best_value"] = kind, best_config, best_value
+        d["evaluations"], d["converged"], d["trace"] = evaluations, converged, trace
 
     def report(self, provider: CorrelationProvider) -> InequalityReport:
         """Re-check the winning configuration with full report bookkeeping."""
@@ -358,6 +363,7 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
 
     Terminates on objective-value spread below tol (the angle spread is
     deliberately not a criterion: flat directions are common at optima).
+    A negative or non-finite tol raises ValueError before any evaluation.
     Never returns a configuration worse than the start.
 
     max_iter counts the initial simplex as iteration 1, so at most
@@ -375,6 +381,7 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     The simplex is Python lists, and its loop calls numpy only to re-sort
     (argsort) and for the final minimum.
     """
+    _check_tol(tol)
     spec, lhs_rhs = evaluator(provider, kind)
     objective = spec.objective
     x0 = start.flat()
@@ -408,9 +415,16 @@ def refine(provider: CorrelationProvider, kind: str, start: AngleConfig,
     return OptimizationResult(kind, best_config, best_value, evals, converged, tuple(trace))
 
 
-def _check_starts(n_starts: int, n_extra: int, seed: int, max_iter: int) -> None:
+def _check_tol(tol: float) -> None:
+    """Refuse a tol for which refine's stopping test can never pass."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
+def _check_starts(n_starts: int, n_extra: int, seed: int, max_iter: int, tol: float) -> None:
     """multistart_refine's checks of its random and n_extra fixed starts,
-    seed and budget, for a caller that must refuse before any work."""
+    seed, budget and tol, for a caller that must refuse before any work."""
+    _check_tol(tol)
     if n_starts < 0:
         raise ValueError(f"n_starts must be non-negative, got {n_starts}")
     if n_starts < 1 and not n_extra:
@@ -439,8 +453,8 @@ def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
     Raises
     ------
     ValueError
-        If there is no start or seed is not an integer in [0, 2**64);
-        nothing is drawn.
+        If there is no start, seed is not an integer in [0, 2**64), or tol
+        is negative or not finite; nothing is drawn.
     BudgetExceededError
         If the starts, extra ones included, times max_iter (at least 1)
         exceed EVALUATION_LIMIT; nothing is drawn.
@@ -448,7 +462,7 @@ def multistart_refine(provider: CorrelationProvider, kind: str, n_starts: int,
     import numpy as np
 
     dim = 2 * inequality(kind).arity
-    _check_starts(n_starts, len(extra_starts), seed, max_iter)
+    _check_starts(n_starts, len(extra_starts), seed, max_iter, tol)
 
     def starts():
         yield from extra_starts

@@ -13,12 +13,11 @@ A (state, angles, n, seed) tuple fixes the counts exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 from . import optimize, rng
 from .correlations import DegeneratePostselectionError, rho_elements_closed
 from .optimize import BudgetExceededError
-from .spins import Direction
+from .spins import Direction, _Record
 from .states import CatState
 
 __all__ = [
@@ -58,8 +57,7 @@ class UnsupportedScenarioError(ValueError):
     """The requested emulation is defined for a different spin."""
 
 
-@dataclass(frozen=True)
-class SampleStats:
+class SampleStats(_Record):
     """Counts and the correlation estimate from one sampling run.
 
     estimate averages the +-1 outcome product, counting inconclusive shots
@@ -75,12 +73,17 @@ class SampleStats:
     seed: int
     postselect: bool
 
+    def __init__(self, n_total, counts, estimate, stderr, seed, postselect) -> None:
+        d = self.__dict__
+        d["n_total"], d["counts"], d["estimate"] = n_total, counts, estimate
+        d["stderr"], d["seed"], d["postselect"] = stderr, seed, postselect
+
     @property
     def n_conclusive(self) -> int:
         return self.n_total - self.counts["inconclusive"]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "counts": dict(self.counts)}
 
 
 def outcome_probabilities(state: CatState, a: Direction, b: Direction) -> np.ndarray:
@@ -247,8 +250,7 @@ def sample_outcomes(state: CatState, a: Direction, b: Direction, n: int,
     return _stats_from_counts(counts, n, seed, postselect)
 
 
-@dataclass(frozen=True)
-class PhotonEmulation:
+class PhotonEmulation(_Record):
     """Spin-1 sampling summarized the way a photon-pair experiment would.
 
     stats.estimate is the coincidence-based correlation (the per-shot
@@ -261,6 +263,10 @@ class PhotonEmulation:
     stats: SampleStats
     joint: tuple[float, float, float, float]
     product_estimate: float
+
+    def __init__(self, stats, joint, product_estimate) -> None:
+        d = self.__dict__
+        d["stats"], d["joint"], d["product_estimate"] = stats, joint, product_estimate
 
     def to_dict(self) -> dict:
         return {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from functools import total_ordering
 
 __all__ = [
     "SpinQuantum",
@@ -37,8 +37,40 @@ class DegenerateTriangleError(ValueError):
     """Spherical triangle has coincident or antipodal vertices, area undefined."""
 
 
-@dataclass(frozen=True, order=True)
-class SpinQuantum:
+class _Record:
+    """Immutable value type whose fields are the subclass's own annotations,
+    filled by its __init__ through self.__dict__.  Equal for the same class
+    and field tuple, hashed as that tuple, printed as Name(field=value, ...)."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self._fields])
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+
+@total_ordering
+class SpinQuantum(_Record):
     """Spin quantum number, stored exactly as the integer 2s.
 
     Keeping 2s as an int makes half-integer spins representable without
@@ -48,11 +80,15 @@ class SpinQuantum:
 
     two_s: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.two_s, int) or isinstance(self.two_s, bool):
-            raise TypeError(f"two_s must be an int, got {type(self.two_s).__name__}")
-        if self.two_s < 1:
-            raise ValueError(f"two_s must be >= 1, got {self.two_s}")
+    def __init__(self, two_s: int) -> None:
+        if not isinstance(two_s, int) or isinstance(two_s, bool):
+            raise TypeError(f"two_s must be an int, got {type(two_s).__name__}")
+        if two_s < 1:
+            raise ValueError(f"two_s must be >= 1, got {two_s}")
+        self.__dict__["two_s"] = two_s
+
+    def __lt__(self, other):
+        return self.two_s < other.two_s if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def s(self) -> float:
@@ -101,8 +137,7 @@ def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     return t, p
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(_Record):
     """Point on the unit sphere given by polar angle theta and azimuth phi.
 
     Input angles may be any finite floats; they are canonicalized on
@@ -114,8 +149,6 @@ class Direction:
     phi: float
 
     def __init__(self, theta: float, phi: float) -> None:
-        # Filled directly: the generated frozen __init__ would set each field
-        # through object.__setattr__, once before canonicalizing and once after.
         d = self.__dict__
         d["theta"], d["phi"] = canonical_angles(theta, phi)
 
@@ -134,8 +167,7 @@ class Direction:
         return float(np.dot(self.unit_vector(), other.unit_vector()))
 
 
-@dataclass(frozen=True)
-class DickeKet:
+class DickeKet(_Record):
     """One-particle state expanded in the s_z eigenbasis.
 
     Amplitudes are stored with m descending: amps[0] multiplies |s, m=+s>
@@ -146,14 +178,15 @@ class DickeKet:
     s: SpinQuantum
     amps: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(self, s: SpinQuantum, amps: np.ndarray) -> None:
         import numpy as np
 
-        a = np.array(self.amps, dtype=complex)
-        if a.shape != (self.s.dim,):
-            raise ValueError(f"expected {self.s.dim} amplitudes, got shape {a.shape}")
+        a = np.array(amps, dtype=complex)
+        if a.shape != (s.dim,):
+            raise ValueError(f"expected {s.dim} amplitudes, got shape {a.shape}")
         a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
+        d = self.__dict__
+        d["s"], d["amps"] = s, a
 
 
 def _binom_halfpowers(two_s: int, k: int, cos_half: float, sin_half: float,
@@ -242,8 +275,7 @@ def overlap_plus(s: SpinQuantum, n1: Direction, n2: Direction) -> complex:
     return base ** s.two_s
 
 
-@dataclass(frozen=True)
-class SpinMatrices:
+class SpinMatrices(_Record):
     """Matrix representations of (sx, sy, sz) in the descending-m basis."""
 
     s: SpinQuantum
@@ -251,10 +283,11 @@ class SpinMatrices:
     sy: np.ndarray
     sz: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name in ("sx", "sy", "sz"):
-            m = getattr(self, name)
+    def __init__(self, s: SpinQuantum, sx: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> None:
+        for m in (sx, sy, sz):
             m.setflags(write=False)
+        d = self.__dict__
+        d["s"], d["sx"], d["sy"], d["sz"] = s, sx, sy, sz
 
     def along(self, direction: Direction) -> np.ndarray:
         """Component n.S of the spin along a unit vector."""

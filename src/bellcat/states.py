@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .spins import SpinQuantum
+from .spins import SpinQuantum, _Record
 
 __all__ = [
     "CatCoefficients",
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CatCoefficients:
+class CatCoefficients(_Record):
     """Superposition parameters (alpha, gamma1, gamma2).
 
     alpha mixes the two branches; gamma1 and gamma2 are branch phases, and
@@ -35,15 +33,14 @@ class CatCoefficients:
     """
 
     alpha: float
-    gamma1: float = 0.0
-    gamma2: float = 0.0
+    gamma1: float
+    gamma2: float
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "gamma1", "gamma2"):
-            v = getattr(self, name)
+    def __init__(self, alpha: float, gamma1: float = 0.0, gamma2: float = 0.0) -> None:
+        for name, v in (("alpha", alpha), ("gamma1", gamma1), ("gamma2", gamma2)):
             if not math.isfinite(float(v)):
                 raise ValueError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, float(v))
+            self.__dict__[name] = float(v)
 
     @property
     def c1(self) -> complex:
@@ -73,12 +70,15 @@ class CatCoefficients:
         return math.sin(2.0 * self.alpha)
 
 
-@dataclass(frozen=True)
-class CatState:
+class CatState(_Record):
     """A spin quantum number together with cat coefficients."""
 
     s: SpinQuantum
     coeffs: CatCoefficients
+
+    def __init__(self, s: SpinQuantum, coeffs: CatCoefficients) -> None:
+        d = self.__dict__
+        d["s"], d["coeffs"] = s, coeffs
 
     @cached_property
     def closed_constants(self) -> tuple[float, float, float, int, float, int]:

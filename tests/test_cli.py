@@ -752,6 +752,26 @@ class TestOptimize:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (3, "", f"domain error: {message}\n")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("tol, literal", [("-1", "-1"), ("nan", "NaN"), ("inf", "Infinity")])
+    def test_bad_tol_is_refused_before_the_sweep(self, capsys, monkeypatch, tmp_path, tol,
+                                                 literal, source):
+        def no_work(*args):
+            raise AssertionError("the search began")
+
+        monkeypatch.setattr("bellcat.optimize._grid_directions", no_work)
+        monkeypatch.setattr("bellcat.rng.uniforms", no_work)
+        flags = ["--tol", tol]
+        if source == "config":
+            cfg = tmp_path / "run.json"
+            cfg.write_text(f'{{"optimize": {{"tol": {literal}}}}}')
+            flags = ["--config", str(cfg)]
+        code = main(["optimize", "--kind", "chsh", "--two-s", "1", "--starts", "1", "--seed", "1",
+                     "--resolution", "9", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == f"domain error: tol must be finite and non-negative, got {float(tol)}\n"
+
     def test_postselected_integer_singlet_search_reaches_sqrt_five(self, capsys):
         # the resolution-3 sweep that seeds the search has undefined pairs
         code, out = run(capsys, "optimize", "--kind", "chsh", "--two-s", "2", "--mode",

@@ -2,8 +2,10 @@
 
 `import bellcat` imports no submodule, and the closed-form reads (a state,
 the full provider, correlation, a CHSH check and a postselected joint)
-load neither the searches, the sampler and its generator, nor json or
-numpy.  Checked in a fresh interpreter, since this one has loaded them all.
+load neither the searches, the sampler and its generator, nor json,
+numpy, dataclasses or inspect.  `import bellcat.cli` and its parser do
+not load dataclasses either (numpy, once loaded, imports inspect itself).
+Checked in fresh interpreters, since this one has loaded them all.
 """
 
 import subprocess
@@ -25,15 +27,31 @@ a, b = bellcat.Direction(0.3, 0.2), bellcat.Direction(1.2, 0.1)
 bellcat.correlation(state, a, b, "postselected")
 bellcat.check(bellcat.full_provider(state), "chsh", a, b, bellcat.Direction(2.0, 4.0), a)
 bellcat.full_provider(state, "postselected").joint(a, b, +1, -1)
-guarded = ("bellcat.optimize", "bellcat.sampling", "bellcat.rng", "json", "numpy")
+guarded = ("bellcat.optimize", "bellcat.sampling", "bellcat.rng", "json", "numpy",
+           "dataclasses", "inspect")
 loaded = [m for m in guarded if m in sys.modules]
 assert loaded == [], f"closed-form reads loaded {loaded}"
 """
 
+CLI_GUARD = """\
+import sys
+import bellcat.cli
+bellcat.cli.build_parser()
+assert "dataclasses" not in sys.modules, "the command line loaded dataclasses"
+"""
+
+
+def run_guard(guard: str) -> None:
+    proc = subprocess.run([sys.executable, "-c", guard], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_closed_form_reads_load_only_what_they_use():
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    run_guard(IMPORT_GUARD)
+
+
+def test_command_line_does_not_load_dataclasses():
+    run_guard(CLI_GUARD)
 
 
 def test_star_import_binds_exactly_all():

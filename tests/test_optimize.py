@@ -1,6 +1,5 @@
 """Grid sweep and simplex refinement."""
 
-import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -35,6 +34,7 @@ from bellcat import (
     singlet,
 )
 from bellcat import optimize, rng
+from bellcat.inequalities import Inequality
 from bellcat.optimize import _nelder_mead, _simplex_around
 
 PI = math.pi
@@ -283,8 +283,9 @@ class TestGridSweep:
 
     def test_all_minus_inf_returns_the_first_combination(self, monkeypatch):
         spec = INEQUALITIES["chsh"]
-        monkeypatch.setitem(INEQUALITIES, "chsh", dataclasses.replace(
-            spec, sides=lambda ab, ac, db, dc: (ab * 0.0 - math.inf, 2.0)))
+        monkeypatch.setitem(INEQUALITIES, "chsh", Inequality(
+            spec.arity, spec.pairs, spec.joint, lambda ab, ac, db, dc: (ab * 0.0 - math.inf, 2.0),
+            spec.lower, spec.maximize_lhs))
         result = grid_sweep(full_half(), "chsh", 3)
         assert result.best_value == -math.inf
         assert result.best_config == AngleConfig((Direction(0.0, 0.0),) * 4)
@@ -353,6 +354,24 @@ class TestRefine:
             start = AngleConfig(tuple(random_direction(rng) for _ in range(4)))
             result = refine(p, "chsh", start, max_iter=60)
             assert result.best_value >= objective_value(p, "chsh", start) - 1e-12
+
+    @pytest.mark.parametrize("tol", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+    def test_bad_tol_is_refused_before_any_evaluation(self, tol):
+        # the stopping test never passes for these, so every start would run
+        # to max_iter
+        def no_read(a, b):
+            raise AssertionError("a pair was read")
+
+        p = CorrelationProvider("custom", no_read)
+        message = f"tol must be finite and non-negative, got {tol}"
+        with pytest.raises(ValueError, match=message):
+            refine(p, "chsh", TSIRELSON, tol=tol)
+        with pytest.raises(ValueError, match=message):
+            multistart_refine(p, "chsh", 1, seed=1, tol=tol)
+
+    def test_zero_tol_stops_on_an_exact_tie(self):
+        result = refine(full_half(), "chsh", TSIRELSON, tol=0.0)
+        assert result.best_value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_trace_is_monotone(self):
         p = full_half()

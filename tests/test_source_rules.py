@@ -13,6 +13,10 @@ touches an Inequality's kernel or sides.
 
 numpy is imported only inside the functions that build or read arrays, so
 importing the package, and the scalar closed forms, never load it.
+
+dataclasses is never imported: it loads inspect (and with it ast, dis and
+tokenize), about half of the closed-form path's start-up before they were
+gone.  The package's value types derive from spins._Record instead.
 """
 
 import ast
@@ -98,3 +102,26 @@ def test_the_numpy_rule_sees_imports_that_run_on_import():
                      "class D:\n    def m(self):\n        from numpy import sum\n"
                      "import numpyro\nfrom .numpy import x\n")
     assert numpy_imports_on_import(tree) == [1, 2, 3, 5, 7]
+
+
+def dataclasses_imports(tree: ast.AST) -> list[int]:
+    """Line numbers of every dataclasses import, wherever it sits."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and not node.level
+            and node.module == "dataclasses"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_dataclasses_is_never_imported(path):
+    assert dataclasses_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_dataclasses_rule_sees_every_import():
+    tree = ast.parse("import dataclasses\nfrom dataclasses import dataclass\n"
+                     "import os, dataclasses as dc\n"
+                     "def f():\n    from dataclasses import asdict\n"
+                     "class C:\n    def m(self):\n        import dataclasses\n"
+                     "import dataclasses_json\nfrom .dataclasses import x\n"
+                     "from dataclasses_json import y\n")
+    assert dataclasses_imports(tree) == [1, 2, 3, 5, 8]
