@@ -27,7 +27,6 @@ import itertools
 import json
 import math
 import sys
-from typing import Optional
 
 from . import __version__
 from .correlations import correlation

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable
 
 from .spins import Direction, SpinQuantum, _Record, spin_matrices
 from .states import CatState

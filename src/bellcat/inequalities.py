@@ -13,7 +13,6 @@ searches in optimize alike.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional, Sequence
 
 from .correlations import (
     _axis,
@@ -29,7 +28,7 @@ from .correlations import (
 )
 # Unused here, but the benchmark's tracer patches this binding by name, and
 # tests/test_exports.py::test_tracer_bindings_exist pins it, until the tracer
-# reads counters instead (ROADMAP item 3).
+# reads counters instead (ROADMAP item 5).
 from .correlations import rho_elements_closed  # noqa: F401
 from .spins import Direction, _Record, canonical_angles
 from .states import CatState
@@ -130,12 +129,15 @@ def sampled_provider(state: CatState, n: int, seed: int,
 
     The provider counts the shots it draws.  A draw that would take the
     total past optimize.SHOT_LIMIT raises BudgetExceededError before
-    drawing; cached pairs are still served, at no cost.  A seed outside
-    [0, 2**64) raises ValueError here.
+    drawing; cached pairs are still served, at no cost.  The provider
+    refuses n and seed here, as sample_outcomes does: ValueError for n < 1
+    or a seed outside [0, 2**64), BudgetExceededError for n above
+    optimize.SHOT_LIMIT.
     """
     from . import optimize, rng
     from .sampling import _check_shots, _count_below, _denominator, _estimate, _probabilities
 
+    _check_shots(n)
     rng.check_seed(seed)
     consts = state.closed_constants
     two_s = consts[3]
@@ -162,11 +164,7 @@ def sampled_provider(state: CatState, n: int, seed: int,
                 )
             drawn += n
         pair_seed = rng.derive(seed, *key)
-        _check_shots(n)
-        # DiagonalElements.totals' adds, on _elements' floats
-        lc, nlc = _elements(consts, fa[2], fb[2])
-        probs = _probabilities((lc[0] + nlc[0], lc[1] + nlc[1], lc[2] + nlc[2],
-                                lc[3] + nlc[3]), two_s == 1)
+        probs = _probabilities(*_elements(consts, fa[2], fb[2]), two_s == 1)
         if counts is not None:
             # the pair's own shots again, for the entry its first draw skipped
             counts[1] = _count_below(probs, n, pair_seed, (1,))[1]

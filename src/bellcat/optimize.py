@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from operator import add
-from typing import Callable, Optional
 
 from . import rng
 from .correlations import DegeneratePostselectionError

@@ -232,10 +232,11 @@ def rho_elements_oracle(state: CatState, a: Direction, b: Direction) -> Diagonal
 def outcome_probabilities_numpy(state: CatState, a: Direction, b: Direction) -> np.ndarray:
     """sampling.outcome_probabilities as numpy array bookkeeping.
 
-    Reads the diagonal elements through sampling's rho_elements_closed
-    binding, so a test that patches it feeds both versions.
+    Reads the closed-form parts through sampling's _closed_parts binding,
+    so a test that patches it feeds both versions.
     """
-    totals = sampling.rho_elements_closed(state, a, b).totals
+    lc, nlc = sampling._closed_parts(state, a, b)
+    totals = DiagonalElements(np.array(lc), np.array(nlc)).totals
     probs = np.empty(5)
     for i, p in enumerate(totals):
         p = float(p)

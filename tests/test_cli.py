@@ -467,6 +467,24 @@ class TestSweep:
         assert (code, captured.out) == (3, "")
         assert "shot limit" in captured.err
 
+    @pytest.mark.parametrize("n, message", [("0", "n must be >= 1, got 0"),
+                                            ("10000000001", "shot limit")])
+    @pytest.mark.parametrize("command", [["sweep", "--resolution", "-11"],
+                                         ["optimize", "--starts", "0"]],
+                             ids=["sweep", "optimize"])
+    def test_sampled_provider_refuses_n_first(self, capsys, monkeypatch, command, n, message):
+        # the provider refuses n when it is built, before the sweep or the
+        # search checks its own arguments
+        def no_draw(*args, **kwargs):
+            raise AssertionError("shots were drawn")
+
+        monkeypatch.setattr("bellcat.rng.integers", no_draw)
+        code = main([*command, "--kind", "chsh", "--two-s", "1", "--provider", "sampled",
+                     "--n", n, "--seed", "7"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert message in captured.err
+
     def test_bell_rows_artifact(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         code, out = run(capsys, "sweep", "--kind", "bell", "--two-s", "1",

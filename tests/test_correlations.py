@@ -352,3 +352,25 @@ class TestCorrelationProperties:
         assert raw.p_nlc == 0.0
         assert abs(xa) <= 1.0 and abs(xb) <= 1.0
         assert abs(raw.p_total + xa * xb) <= 1e-15
+
+    @settings(max_examples=500, deadline=None)
+    @given(two_s=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 59, 60, 61]),
+           coeffs=st.tuples(coefficient, coefficient, coefficient),
+           a=st.builds(Direction, signed_angle, signed_angle),
+           b=st.builds(Direction, signed_angle, signed_angle))
+    def test_raw_correlation_is_the_papers_closed_form(self, two_s, coeffs, a, b):
+        # p_total = -(w1 + w2) x(a) x(b)
+        #           + 2 (1 - (-1)^(2s)) sin(2 alpha) cos(2s (phi_a - phi_b) + delta) y(a) y(b)
+        # with x = K^2 - G^2 and y = (cos(theta/2) sin(theta/2))^(2s) = K G: the
+        # interference term survives only for half-integer spin
+        alpha, gamma1, gamma2 = coeffs
+        raw = correlation(CatState(SpinQuantum(two_s), CatCoefficients(*coeffs)), a, b)
+
+        def y(d):
+            return (math.cos(d.theta / 2.0) * math.sin(d.theta / 2.0)) ** two_s
+
+        local = -(math.cos(alpha) ** 2 + math.sin(alpha) ** 2) \
+            * _lc_axis(two_s, a.theta) * _lc_axis(two_s, b.theta)
+        interference = 2.0 * (1 - (-1) ** two_s) * math.sin(2.0 * alpha) \
+            * math.cos(two_s * (a.phi - b.phi) + (gamma1 - gamma2)) * y(a) * y(b)
+        assert abs(raw.p_total - (local + interference)) <= 4e-15

@@ -3,13 +3,17 @@
 `import bellcat` imports no submodule, and the closed-form reads (a state,
 the full provider, correlation, a CHSH check and a postselected joint)
 load neither the searches, the sampler and its generator, nor json,
-numpy, dataclasses or inspect.  `import bellcat.cli` and its parser do
-not load dataclasses either (numpy, once loaded, imports inspect itself).
-Checked in fresh interpreters, since this one has loaded them all.
+numpy, dataclasses or inspect.  Without site (python -S) they load
+neither typing, re nor enum: annotations stay strings, so the package
+imports no typing names.  `import bellcat.cli` and its parser do not load
+dataclasses either (numpy, once loaded, imports inspect itself).  Checked
+in fresh interpreters, since this one has loaded them all.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,13 @@ loaded = [m for m in guarded if m in sys.modules]
 assert loaded == [], f"closed-form reads loaded {loaded}"
 """
 
+# Appended to IMPORT_GUARD under python -S: site can load typing itself,
+# through a .pth file.
+NO_SITE_GUARD = IMPORT_GUARD + """\
+loaded = [m for m in ("typing", "re", "enum") if m in sys.modules]
+assert loaded == [], f"closed-form reads without site loaded {loaded}"
+"""
+
 CLI_GUARD = """\
 import sys
 import bellcat.cli
@@ -41,13 +52,21 @@ assert "dataclasses" not in sys.modules, "the command line loaded dataclasses"
 """
 
 
-def run_guard(guard: str) -> None:
-    proc = subprocess.run([sys.executable, "-c", guard], capture_output=True, text=True)
+def run_guard(guard: str, *flags: str, env=None) -> None:
+    proc = subprocess.run([sys.executable, *flags, "-c", guard], capture_output=True,
+                          text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_closed_form_reads_load_only_what_they_use():
     run_guard(IMPORT_GUARD)
+
+
+def test_closed_form_reads_load_no_typing_without_site():
+    # -S skips site, and with it an editable install's .pth, so the source
+    # directory goes on the path explicitly
+    src = Path(bellcat.__file__).resolve().parent.parent
+    run_guard(NO_SITE_GUARD, "-S", env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_command_line_does_not_load_dataclasses():

@@ -59,7 +59,7 @@ def reference_uniform(seed: int, index: int) -> float:
 
 @st.composite
 def draw_cases(draw):
-    """(probs, n, seed, block) for _draw_counts, with cdfs built to hit its edges.
+    """(probs, n, seed, block) for _count_below, with cdfs built to hit its edges.
 
     Each cdf entry is a uniform the draw itself produces or one of its two
     float neighbours, a repeat of another entry (a zero-probability
@@ -263,9 +263,9 @@ class TestOutcomeProbabilities:
     @example(two_s=1, totals=[0.5, -2e-12, 0.5, 0.0])  # a negative outcome
     def test_edge_entries_match_numpy_reference(self, two_s, totals):
         # -0.0 keeps every total's sign of zero
-        elements = DiagonalElements(np.array(totals), np.full(4, -0.0))
+        parts = (tuple(totals), (-0.0,) * 4)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampling, "rho_elements_closed", lambda *_: elements)
+            mp.setattr(sampling, "_closed_parts", lambda *_: parts)
             assert_same_as_numpy_reference(singlet(SpinQuantum(two_s)), EQ, EQ)
 
     def test_half_spin_has_no_inconclusive_mass(self):
@@ -287,9 +287,8 @@ class TestOutcomeProbabilities:
         # simulate an upstream bug handing over a negative diagonal element
         import bellcat.sampling as sampling_mod
 
-        broken = DiagonalElements(np.array([-0.01, 0.5, 0.5, 0.01]), np.zeros(4))
-        monkeypatch.setattr(sampling_mod, "rho_elements_closed",
-                            lambda *_: broken)
+        broken = ((-0.01, 0.5, 0.5, 0.01), (-0.0,) * 4)
+        monkeypatch.setattr(sampling_mod, "_closed_parts", lambda *_: broken)
         with pytest.raises(NegativeProbabilityError):
             outcome_probabilities(singlet(SpinQuantum(1)), EQ, EQ)
 
@@ -435,9 +434,8 @@ class TestSampleOutcomes:
         one_shot = np.bincount(cats, minlength=5)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sampling, "_BLOCK", block)
-            counts = sampling._draw_counts(probs, n, seed)
-        assert counts.dtype == np.int64
-        assert counts.tolist() == one_shot.tolist()
+            b0, b1, b2, b3 = sampling._count_below(probs.tolist(), n, seed, (0, 1, 2, 3))
+        assert [b0, b1 - b0, b2 - b1, b3 - b2, n - b3] == one_shot.tolist()
 
     @pytest.mark.parametrize("two_s, counts", [
         (1, {"++": 1582084, "+-": 975580, "-+": 363837, "--": 78499, "inconclusive": 0}),
@@ -569,3 +567,60 @@ class TestPhotonEmulation:
 class TestCategories:
     def test_declared_order(self):
         assert CATEGORIES == ("++", "+-", "-+", "--", "inconclusive")
+
+
+class TestOneProbabilityPath:
+    """Every sampled pair takes its five probabilities from
+    sampling._probabilities on the closed-form parts, so no sampling path
+    builds a DiagonalElements, however it is reached."""
+
+    @pytest.fixture(autouse=True)
+    def no_diagonal_elements(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a DiagonalElements was built")
+
+        monkeypatch.setattr(DiagonalElements, "__init__", refuse)
+
+    STATE = CatState(SpinQuantum(3), CatCoefficients(0.2, 0.1, 0.2))
+    A, B = Direction(0.7, 0.1), Direction(1.9, 2.2)
+
+    @pytest.mark.parametrize("postselect", [False, True], ids=["raw", "postselected"])
+    @pytest.mark.parametrize("two_s", [1, 2, 3])
+    def test_sample_outcomes(self, two_s, postselect):
+        state = CatState(SpinQuantum(two_s), CatCoefficients(0.2, 0.1, 0.2))
+        stats = sample_outcomes(state, self.A, self.B, 2000, 5, postselect)
+        assert sum(stats.counts.values()) == 2000
+
+    def test_photon_emulation(self):
+        record = photon_emulation(singlet(SpinQuantum(2)), self.A, self.B, 2000, 5)
+        assert record.stats.n_total == 2000
+
+    def test_outcome_probabilities(self):
+        probs = outcome_probabilities(self.STATE, self.A, self.B)
+        assert abs(float(probs.sum()) - 1.0) <= 1e-12
+
+    def test_sampled_sweep_and_report(self):
+        provider = sampled_provider(self.STATE, 500, 3)
+        result = grid_sweep(provider, "chsh", 3)
+        assert result.report(provider).lhs == result.best_value
+
+    def test_mixed_sign_sampled_joint(self):
+        joint = sampled_provider(self.STATE, 500, 3).joint
+        assert 0.0 <= joint(self.A, self.B, +1, -1) <= 1.0
+
+    def test_command_line_sample(self, capsys):
+        from bellcat.cli import main
+
+        code = main(["sample", "--two-s", "2", "--a", "0.4,0.2", "--b", "2.1,5.0",
+                     "--n", "300", "--seed", "5"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["n_total"] == 300
+
+
+class TestSampledProviderShots:
+    def test_bad_n_refused_when_built(self):
+        state = singlet(SpinQuantum(2))
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            sampled_provider(state, 0, 1)
+        with pytest.raises(BudgetExceededError, match="shot limit"):
+            sampled_provider(state, optimize.SHOT_LIMIT + 1, 1)

@@ -17,6 +17,11 @@ importing the package, and the scalar closed forms, never load it.
 dataclasses is never imported: it loads inspect (and with it ast, dis and
 tokenize), about half of the closed-form path's start-up before they were
 gone.  The package's value types derive from spins._Record instead.
+
+typing is never imported either: every module postpones its annotations
+(from __future__ import annotations), so names such as Callable and
+Optional are only ever read as strings, and importing typing would cost
+the closed-form path typing, re and enum for nothing.
 """
 
 import ast
@@ -104,12 +109,18 @@ def test_the_numpy_rule_sees_imports_that_run_on_import():
     assert numpy_imports_on_import(tree) == [1, 2, 3, 5, 7]
 
 
+def imports_of(tree: ast.AST, module: str) -> list[int]:
+    """Line numbers of every import of the top-level module, wherever it sits."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Import)
+                  and any(a.name.partition(".")[0] == module for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and not node.level
+                  and (node.module or "").partition(".")[0] == module)
+
+
 def dataclasses_imports(tree: ast.AST) -> list[int]:
     """Line numbers of every dataclasses import, wherever it sits."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
-            or isinstance(node, ast.ImportFrom) and not node.level
-            and node.module == "dataclasses"]
+    return imports_of(tree, "dataclasses")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -125,3 +136,19 @@ def test_the_dataclasses_rule_sees_every_import():
                      "import dataclasses_json\nfrom .dataclasses import x\n"
                      "from dataclasses_json import y\n")
     assert dataclasses_imports(tree) == [1, 2, 3, 5, 8]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_typing_is_never_imported(path):
+    assert imports_of(ast.parse(path.read_text(), str(path)), "typing") == []
+
+
+def test_the_typing_rule_sees_every_import():
+    tree = ast.parse("import typing\nfrom typing import Callable\n"
+                     "import os, typing as t\n"
+                     "def f():\n    from typing import Optional\n"
+                     "class C:\n    def m(self):\n        import typing\n"
+                     "import typing_extensions\nfrom .typing import x\n"
+                     "from typing_extensions import y\n"
+                     "if TYPE_CHECKING:\n    from typing import Sequence\n")
+    assert imports_of(tree, "typing") == [1, 2, 3, 5, 8, 13]
