@@ -28,16 +28,24 @@ import json
 import math
 import sys
 
+from . import __getattr__ as _library_name
 from . import __version__
-from .correlations import correlation
-from .inequalities import (INEQUALITIES, CorrelationProvider, check, full_provider,
-                           lc_provider, sampled_provider)
-from .optimize import _check_starts, grid_sweep, multistart_refine
-from .sampling import CATEGORIES, photon_emulation, sample_outcomes
-from .spins import Direction, SpinQuantum, coherent_state
-from .states import CatCoefficients, CatState
 
 __all__ = ["main", "build_parser", "ConfigError"]
+
+
+def __getattr__(name: str):
+    """Bind a library name here on its first read (PEP 562), as the package
+    resolves it.  Handlers read their library names through this module
+    (``from .cli import check``), so a command loads only the modules it
+    runs, and a binding set on bellcat.cli from outside is the one called.
+    The package's lookup refuses dunder names."""
+    try:
+        value = _library_name(name)
+    except AttributeError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value
+    return value
 
 
 class ConfigError(Exception):
@@ -58,7 +66,8 @@ _OPTIONS = {
     "gamma1": ("--gamma1", "state.gamma1", float, 0.0, "first branch phase"),
     "gamma2": ("--gamma2", "state.gamma2", float, 0.0, "second branch phase"),
     **{x: (f"--{x}", "", str, None, f"direction {x} as theta,phi") for x in "abcd"},
-    "kind": ("--kind", "kind", tuple(INEQUALITIES), None, None),
+    # INEQUALITIES's keys, in order (tests/test_cli.py pins them)
+    "kind": ("--kind", "kind", ("bell", "chsh", "wigner", "quadratic"), None, None),
     "provider": ("--provider", "provider", ("lc", "full", "sampled"), "full", "default full"),
     "mode": ("--mode", "mode", ("raw", "postselected"), "raw", "correlate, provider full"),
     "n": ("--n", "sample.n", int, None, "shots, per pair for the sampled provider"),
@@ -166,11 +175,13 @@ def _parse_pair(text: str, degrees: bool) -> tuple[float, float]:
 
 
 def _spin_from(args, cfg: dict) -> SpinQuantum:
-    return SpinQuantum(_pick(args, cfg, "two_s",
-                             required="two_s is required (--two-s or config state.two_s)"))
+    two_s = _pick(args, cfg, "two_s", required="two_s is required (--two-s or config state.two_s)")
+    from .cli import SpinQuantum
+    return SpinQuantum(two_s)
 
 
 def _state_from(args, cfg: dict) -> CatState:
+    from .cli import CatCoefficients, CatState
     coeffs = CatCoefficients(*(float(_pick(args, cfg, x)) for x in ("alpha", "gamma1", "gamma2")))
     return CatState(_spin_from(args, cfg), coeffs)
 
@@ -193,6 +204,7 @@ def _directions_from(args, cfg: dict, count: int) -> tuple[Direction, ...]:
     missing = [labels[i] for i in range(count) if pairs[i] is None]
     if missing:
         raise ConfigError(f"missing directions: {', '.join('--' + m for m in missing)}")
+    from .cli import Direction
     return tuple(Direction(t, p) for t, p in pairs)  # type: ignore[misc]
 
 
@@ -203,6 +215,7 @@ def _provider_from(args, cfg: dict, state: CatState) -> CorrelationProvider:
         raise ConfigError(f"provider {name!r} ignores mode {mode!r}; only 'full' reads it")
     if args.postselect and name != "sampled":
         raise ConfigError(f"provider {name!r} ignores --postselect; only 'sampled' reads it")
+    from .cli import full_provider, lc_provider, sampled_provider
     if name == "lc":
         return lc_provider(state)
     if name == "full":
@@ -239,6 +252,7 @@ def _sweep_pieces(fmt: str, kind: str, payload: dict, kept: list):
     """
     import numpy as np
 
+    from .cli import INEQUALITIES
     if fmt == "csv":
         opening = _csv_line(["kind", *_angle_columns(INEQUALITIES[kind].arity), "value"]) + "\n"
         lead, sep, tail, between, closing = kind + ",", ",", "", "\n", "\n"
@@ -298,6 +312,7 @@ def _emit(args, cfg: dict, payload, table) -> None:
 
 
 def _cmd_correlate(args, cfg: dict) -> tuple:
+    from .cli import correlation
     state = _state_from(args, cfg)
     a, b = _directions_from(args, cfg, 2)
     mode = _pick(args, cfg, "mode")
@@ -306,6 +321,7 @@ def _cmd_correlate(args, cfg: dict) -> tuple:
 
 
 def _cmd_check(args, cfg: dict) -> tuple:
+    from .cli import INEQUALITIES, check
     state = _state_from(args, cfg)
     kind = _kind_of(args, cfg)
     dirs = _directions_from(args, cfg, INEQUALITIES[kind].arity)
@@ -319,6 +335,7 @@ def _cmd_check(args, cfg: dict) -> tuple:
 
 
 def _cmd_sweep(args, cfg: dict) -> tuple:
+    from .cli import grid_sweep
     state = _state_from(args, cfg)
     kind = _kind_of(args, cfg)
     resolution = _pick(args, cfg, "resolution", required="sweep requires --resolution")
@@ -332,6 +349,8 @@ def _cmd_sweep(args, cfg: dict) -> tuple:
 
 
 def _cmd_optimize(args, cfg: dict) -> tuple:
+    from .cli import grid_sweep, multistart_refine
+    from .optimize import _check_starts
     state = _state_from(args, cfg)
     kind = _kind_of(args, cfg)
     starts = _pick(args, cfg, "starts", required="optimize requires --starts")
@@ -350,6 +369,7 @@ def _cmd_optimize(args, cfg: dict) -> tuple:
 
 
 def _cmd_sample(args, cfg: dict) -> tuple:
+    from .cli import CATEGORIES, photon_emulation, sample_outcomes
     state = _state_from(args, cfg)
     a, b = _directions_from(args, cfg, 2)
     n = _pick(args, cfg, "n", required="sample requires --n")
@@ -371,6 +391,7 @@ def _cmd_sample(args, cfg: dict) -> tuple:
 
 
 def _cmd_coherent(args, cfg: dict) -> tuple:
+    from .cli import Direction, coherent_state
     s = _spin_from(args, cfg)
     if args.dir is None:
         raise ConfigError("coherent requires --dir theta,phi")

@@ -1,5 +1,6 @@
 """Command line interface: parsing, exit codes, artifacts."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -9,12 +10,14 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import bellcat.cli
 from bellcat import (CATEGORIES, INEQUALITIES, CatCoefficients, CatState,
                      DegeneratePostselectionError, Direction, SpinQuantum, check, correlation,
                      full_provider, grid_sweep, sample_outcomes, singlet)
@@ -1237,6 +1240,85 @@ class TestTopLevel:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+# Per library name that a handler reads through bellcat.cli (``from .cli
+# import name``), a run that reads it.
+CORRELATE = ["correlate", "--two-s", "3", "--a", "0.4,0.2", "--b", "2.1,5.0"]
+CHECK = ["check", "--kind", "chsh", "--two-s", "1", *TSIRELSON_FLAGS]
+SAMPLE = ["sample", "--two-s", "2", "--a", "0.4,0.2", "--b", "2.1,5.0", "--n", "300",
+          "--seed", "5"]
+COHERENT = ["coherent", "--two-s", "3", "--dir", "1,2"]
+LIBRARY_READS = {
+    "SpinQuantum": COHERENT,
+    "CatCoefficients": CORRELATE,
+    "CatState": CORRELATE,
+    "Direction": CORRELATE,
+    "correlation": CORRELATE,
+    "INEQUALITIES": CHECK,
+    "check": CHECK,
+    "full_provider": CHECK,
+    "lc_provider": [*CHECK, "--provider", "lc"],
+    "sampled_provider": [*CHECK, "--provider", "sampled", "--n", "100", "--seed", "1"],
+    "grid_sweep": ["sweep", "--kind", "chsh", "--two-s", "1", "--resolution", "2"],
+    "multistart_refine": ["optimize", "--kind", "chsh", "--two-s", "1", "--starts", "1",
+                          "--seed", "2", "--max-iter", "40"],
+    "sample_outcomes": SAMPLE,
+    "photon_emulation": [*SAMPLE, "--photon"],
+    "CATEGORIES": SAMPLE,
+    "coherent_state": COHERENT,
+}
+
+
+def recording(original, reads: list):
+    """A stand-in for original that appends to reads when it is called, or
+    for a table when it is indexed or iterated, and otherwise acts as it."""
+    if isinstance(original, dict):
+        class Table(dict):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+        return Table(original)
+    if isinstance(original, tuple):
+        class Row(tuple):
+            def __iter__(self):
+                reads.append(None)
+                return super().__iter__()
+        return Row(original)
+
+    def stand_in(*args, **kwargs):
+        reads.append(args)
+        return original(*args, **kwargs)
+    return stand_in
+
+
+class TestLibraryLookup:
+    """cli binds a library name on its first read, and its handlers read
+    their library names through that binding."""
+
+    def test_kind_choices_are_the_inequalities(self):
+        assert _OPTIONS["kind"][2] == tuple(INEQUALITIES)
+
+    def test_every_name_a_handler_reads_is_covered(self):
+        tree = ast.parse(Path(bellcat.cli.__file__).read_text(encoding="utf-8"))
+        read = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "cli"
+                for alias in node.names}
+        assert read == set(LIBRARY_READS)
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY_READS))
+    def test_a_binding_set_from_outside_is_the_one_read(self, capsys, monkeypatch, name):
+        argv = LIBRARY_READS[name]
+        want = run(capsys, *argv)
+        reads: list = []
+        monkeypatch.setattr(f"bellcat.cli.{name}", recording(getattr(bellcat, name), reads))
+        assert run(capsys, *argv) == want
+        assert reads
+
+    @pytest.mark.parametrize("name", ["no_such_name", "__wrapped__"])
+    def test_unknown_name_is_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=f"'bellcat.cli' has no attribute '{name}'"):
+            getattr(bellcat.cli, name)
 
 
 # --- the exit-code contract under fuzzed input ------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from conftest import random_direction, random_state
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import full_matrix, outcome_basis, rho_elements_oracle
 
@@ -24,7 +24,7 @@ from bellcat import (
     unrestricted_correlation,
     wigner_joint,
 )
-from bellcat.correlations import _lc_axis
+from bellcat.correlations import WEIGHT_TOL, _lc_axis
 
 PI = math.pi
 EQ = Direction(PI / 2, 0.0)
@@ -374,3 +374,34 @@ class TestCorrelationProperties:
         interference = 2.0 * (1 - (-1) ** two_s) * math.sin(2.0 * alpha) \
             * math.cos(two_s * (a.phi - b.phi) + (gamma1 - gamma2)) * y(a) * y(b)
         assert abs(raw.p_total - (local + interference)) <= 4e-15
+
+    polar = st.one_of(st.sampled_from([0.0, PI / 2, PI]), st.floats(0.0, PI))
+    azimuth = st.one_of(st.sampled_from([0.0, PI]), st.floats(0.0, 2 * PI))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spins=st.integers(1, 61).flatmap(
+               lambda two_s: st.tuples(st.just(two_s),
+                                       st.sampled_from(range(2 - two_s % 2, 62, 2)))),
+           coeffs=st.tuples(coefficient, coefficient, coefficient),
+           a=st.builds(Direction, polar, azimuth), b=st.builds(Direction, polar, azimuth))
+    def test_postselected_correlation_depends_on_spin_only_through_parity(
+            self, spins, coeffs, a, b):
+        # theta' = 2 atan(tan(theta/2)^(2s/2s')) and phi' = phi 2s/2s' keep
+        # tan(theta/2)^(2s) and 2s phi; besides the parity of 2s, a
+        # postselected correlation reads nothing else of the spin.  atan2 of
+        # the two powers is the same map, without overflow at theta = pi.
+        two_s, two_t = spins
+        ratio = two_s / two_t
+
+        def mapped(d):
+            half = d.theta / 2.0
+            return Direction(2.0 * math.atan2(math.sin(half) ** ratio, math.cos(half) ** ratio),
+                             d.phi * ratio)
+
+        cats = [CatState(SpinQuantum(n), CatCoefficients(*coeffs)) for n in (two_s, two_t)]
+        pairs = [(a, b), (mapped(a), mapped(b))]
+        assume(all(correlation(cat, *pair).postselect_weight >= WEIGHT_TOL
+                   for cat, pair in zip(cats, pairs)))
+        here, there = (correlation(cat, *pair, "postselected") for cat, pair in zip(cats, pairs))
+        for part in ("p_total", "p_lc", "p_nlc"):
+            assert abs(getattr(here, part) - getattr(there, part)) <= 1e-12, part

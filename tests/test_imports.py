@@ -5,9 +5,12 @@ the full provider, correlation, a CHSH check and a postselected joint)
 load neither the searches, the sampler and its generator, nor json,
 numpy, dataclasses or inspect.  Without site (python -S) they load
 neither typing, re nor enum: annotations stay strings, so the package
-imports no typing names.  `import bellcat.cli` and its parser do not load
-dataclasses either (numpy, once loaded, imports inspect itself).  Checked
-in fresh interpreters, since this one has loaded them all.
+imports no typing names.  `import bellcat.cli` and its parser load no
+library module, no numpy and no dataclasses (numpy, once loaded, imports
+inspect itself); version, --help and the exit-2 errors load no library
+module, and correlate and check on the lc and full providers load neither
+the searches, the sampler nor its generator.  Checked in fresh
+interpreters, since this one has loaded them all.
 """
 
 import os
@@ -48,7 +51,42 @@ CLI_GUARD = """\
 import sys
 import bellcat.cli
 bellcat.cli.build_parser()
-assert "dataclasses" not in sys.modules, "the command line loaded dataclasses"
+loaded = sorted(m for m in sys.modules if m.startswith("bellcat."))
+assert loaded == ["bellcat.cli"], f"the command line's parser loaded {loaded}"
+loaded = [m for m in ("numpy", "dataclasses") if m in sys.modules]
+assert loaded == [], f"the command line's parser loaded {loaded}"
+"""
+
+# Each command runs in turn in one interpreter, so every check covers the
+# commands before it too.
+COMMANDS_GUARD = """\
+import contextlib, io, sys, tempfile
+from bellcat.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+assert run("version") == 0
+assert run("--help") == 0
+assert run("correlate", "--two-s", "1", "--bogus") == 2
+assert run("check", "--kind", "nope") == 2
+with tempfile.TemporaryDirectory() as work:
+    config = work + "/run.json"
+    with open(config, "w") as fh:
+        fh.write('{"state": {"spin": 1}}')
+    assert run("correlate", "--config", config) == 2
+    assert run("optimize", "--output", work + "/x.csv", "--format", "csv") == 2
+loaded = sorted(m for m in sys.modules if m.startswith("bellcat."))
+assert loaded == ["bellcat.cli"], f"version, --help and exit-2 errors loaded {loaded}"
+assert run("correlate", "--two-s", "3", "--a", "0.3,0.2", "--b", "1.2,0.1",
+           "--mode", "postselected") == 0
+chsh = ("--kind", "chsh", "--two-s", "1", "--a", "0,0", "--b", "45,0", "--c", "45,180",
+        "--d", "90,0", "--degrees")
+assert run("check", *chsh, "--provider", "lc") == 0
+assert run("check", *chsh) == 10
+loaded = [m for m in ("bellcat.optimize", "bellcat.sampling", "bellcat.rng") if m in sys.modules]
+assert loaded == [], f"correlate and check loaded {loaded}"
 """
 
 
@@ -71,6 +109,10 @@ def test_closed_form_reads_load_no_typing_without_site():
 
 def test_command_line_does_not_load_dataclasses():
     run_guard(CLI_GUARD)
+
+
+def test_short_commands_load_no_search_or_sampler():
+    run_guard(COMMANDS_GUARD)
 
 
 def test_star_import_binds_exactly_all():
