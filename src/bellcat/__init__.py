@@ -20,9 +20,9 @@ from importlib import import_module as _import
 
 __version__ = "0.1.0"
 
-# The library modules whose __all__ the package exports, in dependency order:
-# a name resolves from the first that lists it, after importing the ones
-# before it, which that module imports anyway.
+# The library modules whose __all__ the package exports: a name resolves from
+# the first that lists it, after importing the ones before it.  sampling comes
+# last, so reading a closed-form name never loads the sampler.
 _MODULES = ("spins", "states", "correlations", "inequalities", "optimize", "sampling")
 
 

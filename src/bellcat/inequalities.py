@@ -30,7 +30,7 @@ from .correlations import (
 # tests/test_exports.py::test_tracer_bindings_exist pins it, until the tracer
 # reads counters instead (ROADMAP item 5).
 from .correlations import rho_elements_closed  # noqa: F401
-from .spins import Direction, _Record, canonical_angles
+from .spins import BudgetExceededError, Direction, _Record, canonical_angles
 from .states import CatState
 
 __all__ = [
@@ -128,13 +128,13 @@ def sampled_provider(state: CatState, n: int, seed: int,
     on every read, from its cached counts.
 
     The provider counts the shots it draws.  A draw that would take the
-    total past optimize.SHOT_LIMIT raises BudgetExceededError before
+    total past sampling.SHOT_LIMIT raises BudgetExceededError before
     drawing; cached pairs are still served, at no cost.  The provider
     refuses n and seed here, as sample_outcomes does: ValueError for n < 1
     or a seed outside [0, 2**64), BudgetExceededError for n above
-    optimize.SHOT_LIMIT.
+    sampling.SHOT_LIMIT.
     """
-    from . import optimize, rng
+    from . import rng, sampling
     from .sampling import _check_shots, _count_below, _denominator, _estimate, _probabilities
 
     _check_shots(n)
@@ -157,10 +157,10 @@ def sampled_provider(state: CatState, n: int, seed: int,
         if counts is not None and (counts[1] is not None or not mixed):
             return counts
         if counts is None:
-            if drawn + n > optimize.SHOT_LIMIT:
-                raise optimize.BudgetExceededError(
+            if drawn + n > sampling.SHOT_LIMIT:
+                raise BudgetExceededError(
                     f"{n} more shots would take the sampled provider past the shot "
-                    f"limit {optimize.SHOT_LIMIT:.0e} ({drawn} drawn)"
+                    f"limit {sampling.SHOT_LIMIT:.0e} ({drawn} drawn)"
                 )
             drawn += n
         pair_seed = rng.derive(seed, *key)

@@ -27,7 +27,7 @@ from operator import add
 from . import rng
 from .correlations import DegeneratePostselectionError
 from .inequalities import CorrelationProvider, InequalityReport, check, evaluator, inequality
-from .spins import Direction, _Record
+from .spins import BudgetExceededError, Direction, _Record
 
 __all__ = [
     "AngleConfig",
@@ -48,11 +48,6 @@ GRID_POINT_LIMIT = 10**8
 EXPORT_ROW_LIMIT = 10**7
 # Ceiling on starts * max_iter in multistart_refine.
 EVALUATION_LIMIT = 10**7
-# Ceiling on the shots of one sample_outcomes call (about 5 ns each), and
-# on the total a sampled_provider draws.
-SHOT_LIMIT = 10**10
-# Ceiling on the dimension 2s + 1 of one spins.coherent_state ket.
-COHERENT_DIM_LIMIT = 10**6
 
 # Most combinations a grid_sweep without a sink evaluates at once: each
 # temporary the sides make holds at most 128 KiB of float64, so the sweep's
@@ -62,11 +57,6 @@ _SUB_BLOCK = 2**14
 
 class GridTooLargeError(ValueError):
     """Requested sweep exceeds the combination budget."""
-
-
-class BudgetExceededError(ValueError):
-    """A request exceeds EXPORT_ROW_LIMIT, EVALUATION_LIMIT, SHOT_LIMIT or
-    COHERENT_DIM_LIMIT."""
 
 
 class AngleConfig(_Record):

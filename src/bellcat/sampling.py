@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 
-from . import optimize, rng
+from . import rng
 from .correlations import DegeneratePostselectionError, _closed_parts
 # Unused here, but the benchmark's tracer patches this binding by name (ROADMAP item 5).
 from .correlations import rho_elements_closed  # noqa: F401
-from .optimize import BudgetExceededError
-from .spins import Direction, _Record
+from .spins import BudgetExceededError, Direction, _Record
 from .states import CatState
 
 __all__ = [
@@ -201,14 +200,17 @@ def _stats_from_counts(counts: list, n: int, seed: int, postselect: bool) -> Sam
     return SampleStats(n, count_map, estimate, stderr, seed, postselect)
 
 
+# Ceiling on the shots of one sample_outcomes call (about 5 ns each), and
+# on the total a sampled_provider draws.
+SHOT_LIMIT = 10**10
+
+
 def _check_shots(n: int) -> None:
-    """Refuse a shot count below 1 or above optimize.SHOT_LIMIT."""
+    """Refuse a shot count below 1 or above SHOT_LIMIT."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > optimize.SHOT_LIMIT:
-        raise BudgetExceededError(
-            f"{n} shots exceed the shot limit {optimize.SHOT_LIMIT:.0e}"
-        )
+    if n > SHOT_LIMIT:
+        raise BudgetExceededError(f"{n} shots exceed the shot limit {SHOT_LIMIT:.0e}")
 
 
 def sample_outcomes(state: CatState, a: Direction, b: Direction, n: int,
@@ -232,7 +234,7 @@ def sample_outcomes(state: CatState, a: Direction, b: Direction, n: int,
     ValueError
         If n < 1 or seed is out of range; nothing is drawn.
     BudgetExceededError
-        If n exceeds optimize.SHOT_LIMIT; nothing is drawn.
+        If n exceeds SHOT_LIMIT; nothing is drawn.
     ZeroConclusiveError
         In postselect mode when no shot was conclusive.
     """

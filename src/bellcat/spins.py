@@ -37,6 +37,11 @@ class DegenerateTriangleError(ValueError):
     """Spherical triangle has coincident or antipodal vertices, area undefined."""
 
 
+class BudgetExceededError(ValueError):
+    """A request exceeds spins.COHERENT_DIM_LIMIT, sampling.SHOT_LIMIT,
+    optimize.EXPORT_ROW_LIMIT or optimize.EVALUATION_LIMIT."""
+
+
 class _Record:
     """Immutable value type whose fields are the subclass's own annotations,
     filled by its __init__ through self.__dict__.  Equal for the same class
@@ -206,6 +211,10 @@ def _binom_halfpowers(two_s: int, k: int, cos_half: float, sin_half: float,
     return math.exp(log_mag)
 
 
+# Ceiling on the dimension 2s + 1 of one coherent_state ket.
+COHERENT_DIM_LIMIT = 10**6
+
+
 def coherent_state(s: SpinQuantum, direction: Direction, sign: int = +1) -> DickeKet:
     """Spin coherent state along +direction (sign=+1) or -direction (sign=-1).
 
@@ -233,19 +242,15 @@ def coherent_state(s: SpinQuantum, direction: Direction, sign: int = +1) -> Dick
     Raises
     ------
     BudgetExceededError
-        If 2s + 1 exceeds optimize.COHERENT_DIM_LIMIT; nothing is allocated.
+        If 2s + 1 exceeds COHERENT_DIM_LIMIT; nothing is allocated.
     """
     import numpy as np
 
-    # optimize imports this module, so its limits are read at call time.
-    from . import optimize
-
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if s.dim > optimize.COHERENT_DIM_LIMIT:
-        raise optimize.BudgetExceededError(
-            f"dimension {s.dim} exceeds the coherent-state limit "
-            f"{optimize.COHERENT_DIM_LIMIT:.0e}"
+    if s.dim > COHERENT_DIM_LIMIT:
+        raise BudgetExceededError(
+            f"dimension {s.dim} exceeds the coherent-state limit {COHERENT_DIM_LIMIT:.0e}"
         )
     two_s = s.two_s
     chalf = math.cos(direction.theta / 2.0)

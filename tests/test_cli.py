@@ -463,7 +463,7 @@ class TestSweep:
     def test_sampled_provider_total_shots_exit_3(self, capsys, monkeypatch, command):
         # the provider counts its shots; the second 600-shot pair would pass
         # the limit, so nothing is printed
-        monkeypatch.setattr("bellcat.optimize.SHOT_LIMIT", 1000)
+        monkeypatch.setattr("bellcat.sampling.SHOT_LIMIT", 1000)
         code = main([*command, "--kind", "chsh", "--two-s", "1", "--provider", "sampled",
                      "--n", "600", "--seed", "7"])
         captured = capsys.readouterr()
@@ -971,7 +971,7 @@ class TestCoherent:
         def no_alloc(*args, **kwargs):
             raise AssertionError("amplitudes were allocated")
 
-        monkeypatch.setattr("bellcat.optimize.COHERENT_DIM_LIMIT", 3)
+        monkeypatch.setattr("bellcat.spins.COHERENT_DIM_LIMIT", 3)
         code, out = run(capsys, "coherent", "--two-s", "2", "--dir", "0,0")
         assert code == 0 and len(json.loads(out)["amplitudes"]) == 3
         monkeypatch.setattr(np, "empty", no_alloc)
@@ -1427,10 +1427,11 @@ def test_exit_codes_and_stdout_hold_for_any_input(capsys, tmp_path, monkeypatch,
     """Exit 0, 2, 3, 4 or 10, nothing raised past main, JSON on stdout on 0
     and 10, nothing on 2 and 3."""
     argv, text = run_
-    for name, value in (("GRID_POINT_LIMIT", 10 ** 4), ("EXPORT_ROW_LIMIT", 10 ** 4),
-                        ("EVALUATION_LIMIT", 2000), ("SHOT_LIMIT", 2000),
-                        ("COHERENT_DIM_LIMIT", 100)):
-        monkeypatch.setattr(f"bellcat.optimize.{name}", value)
+    for name, value in (("optimize.GRID_POINT_LIMIT", 10 ** 4),
+                        ("optimize.EXPORT_ROW_LIMIT", 10 ** 4),
+                        ("optimize.EVALUATION_LIMIT", 2000), ("sampling.SHOT_LIMIT", 2000),
+                        ("spins.COHERENT_DIM_LIMIT", 100)):
+        monkeypatch.setattr(f"bellcat.{name}", value)
     monkeypatch.chdir(tmp_path)
     if text is not None:
         (tmp_path / "config.json").write_text(text)

@@ -116,7 +116,7 @@ class TestProviders:
 
     def test_sampled_shots_are_bounded_in_total(self, monkeypatch):
         import bellcat.sampling as sampling
-        from bellcat import BudgetExceededError, grid_sweep, optimize, rng
+        from bellcat import BudgetExceededError, grid_sweep, rng
 
         draws = []
 
@@ -129,7 +129,7 @@ class TestProviders:
         estimate = sampled_provider(st, 600, 7).correlation(pole, pole)
         real = sampling._count_below
         monkeypatch.setattr(sampling, "_count_below", counting)
-        monkeypatch.setattr(optimize, "SHOT_LIMIT", 1000)
+        monkeypatch.setattr(sampling, "SHOT_LIMIT", 1000)
         p = sampled_provider(st, 600, 7)
         # a resolution-3 sweep reads 36 distinct pairs, 21,600 shots; the
         # second draw would pass the limit and is refused before drawing
@@ -143,7 +143,7 @@ class TestProviders:
             p.correlation(pole, other)
         assert len(draws) == 1
         # the limit itself may be reached
-        monkeypatch.setattr(optimize, "SHOT_LIMIT", 1200)
+        monkeypatch.setattr(sampling, "SHOT_LIMIT", 1200)
         p = sampled_provider(st, 600, 7)
         p.correlation(pole, pole)
         p.correlation(pole, other)
@@ -155,7 +155,7 @@ class TestProviders:
         # its counts are cached like any pair's, so every read raises from
         # them, with no second draw and no second count against SHOT_LIMIT
         import bellcat.sampling as sampling
-        from bellcat import ZeroConclusiveError, optimize
+        from bellcat import ZeroConclusiveError
 
         draws = []
 
@@ -165,7 +165,7 @@ class TestProviders:
 
         real = sampling._count_below
         monkeypatch.setattr(sampling, "_count_below", counting)
-        monkeypatch.setattr(optimize, "SHOT_LIMIT", 100)
+        monkeypatch.setattr(sampling, "SHOT_LIMIT", 100)
         p = sampled_provider(singlet(SpinQuantum(2)), 100, 1, postselect=True)
         eq = Direction(PI / 2, 0.0)
         for read in (p.correlation, p.correlation, lambda a, b: p.joint(a, b, +1, +1)):

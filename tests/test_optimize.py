@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_direction
+from conftest import random_direction, random_state
 from reference import sweep_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -709,6 +709,35 @@ class TestParityMaxima:
                for x in (start, POLE)]
         assert max(raw) <= 2.0 + 1e-9
         assert raw[1] == 2.0
+
+
+class TestChshCeilings:
+    """ROADMAP item 2's CHSH laws on seeded random cat states.
+
+    Raw, no cat above s = 1/2 passes the local bound 2.  Postselected, a
+    half-integer cat's correlation is singlet-like, u_a . M u_b on unit
+    vectors u with M = diag(-1, I R(delta)), so by the Horodecki criterion
+    its CHSH maximum is 2 sqrt(1 + I^2) / (w1 + w2), with I = sin 2 alpha.
+    """
+
+    @pytest.mark.parametrize("two_s", [2, 3, 4, 5])
+    def test_raw_chsh_stays_local_above_spin_half(self, two_s):
+        gen = np.random.default_rng(two_s)
+        for _ in range(4):
+            provider = full_provider(random_state(gen, two_s))
+            result = multistart_refine(provider, "chsh", 4, seed=int(gen.integers(2**63)))
+            assert result.best_value <= 2.0 + 1e-9
+
+    @pytest.mark.parametrize("two_s", [1, 3, 5])
+    def test_half_integer_postselected_chsh_reaches_the_law(self, two_s):
+        gen = np.random.default_rng(100 + two_s)
+        for _ in range(4):
+            state = random_state(gen, two_s)
+            c = state.coeffs
+            law = 2.0 * math.sqrt(1.0 + c.interference ** 2) / (c.weight1 + c.weight2)
+            result = multistart_refine(full_provider(state, "postselected"), "chsh", 6,
+                                       seed=int(gen.integers(2**63)), max_iter=3000)
+            assert law - 1e-8 <= result.best_value <= law + 1e-9
 
 
 class TestResultPayload:

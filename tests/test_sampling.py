@@ -37,7 +37,7 @@ from bellcat import (
     sampled_provider,
     singlet,
 )
-from bellcat import optimize, rng, sampling
+from bellcat import rng, sampling
 
 PI = math.pi
 EQ = Direction(PI / 2, 0.0)
@@ -459,7 +459,7 @@ class TestSampleOutcomes:
             raise AssertionError("words were drawn")
 
         st = singlet(SpinQuantum(2))
-        monkeypatch.setattr(optimize, "SHOT_LIMIT", 1000)
+        monkeypatch.setattr(sampling, "SHOT_LIMIT", 1000)
         assert sample_outcomes(st, EQ, EQ, 1000, 3).n_total == 1000
         monkeypatch.setattr(rng, "integers", no_words)
         with pytest.raises(BudgetExceededError, match="shot limit"):
@@ -629,4 +629,4 @@ class TestSampledProviderShots:
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             sampled_provider(state, 0, 1)
         with pytest.raises(BudgetExceededError, match="shot limit"):
-            sampled_provider(state, optimize.SHOT_LIMIT + 1, 1)
+            sampled_provider(state, sampling.SHOT_LIMIT + 1, 1)

@@ -22,6 +22,12 @@ typing is never imported either: every module postpones its annotations
 (from __future__ import annotations), so names such as Callable and
 Optional are only ever read as strings, and importing typing would cost
 the closed-form path typing, re and enum for nothing.
+
+The library modules form a plain layering: each imports only modules
+before it in LAYERS, at module level or inside a function, so loading one
+never loads a module above it.  A work limit sits in the module whose
+check enforces it, and BudgetExceededError in spins, below every module
+that raises it.
 """
 
 import ast
@@ -152,3 +158,55 @@ def test_the_typing_rule_sees_every_import():
                      "from typing_extensions import y\n"
                      "if TYPE_CHECKING:\n    from typing import Sequence\n")
     assert imports_of(tree, "typing") == [1, 2, 3, 5, 8, 13]
+
+
+# Every library module, each after the ones it imports.
+LAYERS = ("spins", "states", "correlations", "rng", "sampling", "inequalities", "optimize", "cli")
+
+
+def imported_modules(node: ast.AST) -> list[str]:
+    """The bellcat submodules an import statement names: from . import m,
+    from .m import x, import bellcat.m and from bellcat import m.  Names
+    that are not submodules, such as __version__, come back as they are."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("bellcat.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = node.module or ""
+    if not node.level:
+        if module.partition(".")[0] != "bellcat":
+            return []
+        module = module.partition(".")[2]
+    return [module.partition(".")[0]] if module else [a.name for a in node.names]
+
+
+def upward_imports(tree: ast.AST, module: str) -> list[int]:
+    """Line numbers where module imports a module after it in LAYERS,
+    wherever the import sits."""
+    later = LAYERS[LAYERS.index(module) + 1:]
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if any(name in later for name in imported_modules(node)))
+
+
+def test_the_layers_name_every_library_module():
+    assert sorted(LAYERS) == sorted(p.stem for p in SOURCES if not p.stem.startswith("__"))
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_modules_import_only_modules_below_them(module):
+    path = SOURCES[0].parent / f"{module}.py"
+    assert upward_imports(ast.parse(path.read_text(), str(path)), module) == []
+
+
+def test_the_layering_rule_sees_every_import():
+    tree = ast.parse("from . import rng, optimize\nfrom .optimize import x\n"
+                     "from .spins import y\nimport bellcat.optimize\n"
+                     "from bellcat import inequalities\nfrom bellcat.cli import main\n"
+                     "from . import __version__, __getattr__\n"
+                     "def f():\n    from . import optimize\n"
+                     "class C:\n    def m(self):\n        import bellcat.optimize as o\n"
+                     "from .sampling import z\nimport os, bellcat.rng\n"
+                     "from .optimizer import q\nimport bellcat\nfrom optimize import w\n")
+    assert upward_imports(tree, "sampling") == [1, 2, 4, 5, 6, 9, 12]
+    assert upward_imports(ast.parse("from .cli import check\nfrom . import optimize\n"),
+                          "cli") == []

@@ -27,7 +27,7 @@ from bellcat import (
     overlap_plus,
     spin_matrices,
 )
-from bellcat import optimize
+from bellcat import spins
 
 PI = math.pi
 
@@ -130,7 +130,7 @@ class TestCoherentStates:
         def no_alloc(*args, **kwargs):
             raise AssertionError("amplitudes were allocated")
 
-        monkeypatch.setattr(optimize, "COHERENT_DIM_LIMIT", 5)
+        monkeypatch.setattr(spins, "COHERENT_DIM_LIMIT", 5)
         assert coherent_state(SpinQuantum(4), Direction(1.0, 2.0)).amps.shape == (5,)
         monkeypatch.setattr(np, "empty", no_alloc)
         for sign in (+1, -1):
